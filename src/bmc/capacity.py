@@ -30,12 +30,16 @@ def g_entropy(x: float) -> float:
     """Entropy in bits of a thermal state with mean occupation x.
 
     g(x) = (1 + x) log2(1 + x) - x log2 x, with g(0) = 0 by continuity.
+    For x > 1 it is evaluated as log2(1 + x) + x log2(1 + 1/x), which
+    avoids the cancellation of the two large terms.
     """
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise InvalidParameterError(f"mean occupation must be >= 0, got {x}")
     if x == 0.0:
         return 0.0
+    if x > 1.0:
+        return (math.log1p(x) + x * math.log1p(1.0 / x)) / _LN2
     return (1.0 + x) * math.log1p(x) / _LN2 - _xlog2(x)
 
 
@@ -189,8 +193,9 @@ def optimal_nbar(
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
         raise InvalidTimeError(f"optimal signal search needs t > 0, got {t}")
-    if not search_max > 0.0:
-        raise InvalidParameterError(f"search_max must be > 0, got {search_max}")
+    search_max = float(search_max)
+    if not math.isfinite(search_max) or search_max <= 0.0:
+        raise InvalidParameterError(f"search_max must be finite and > 0, got {search_max}")
 
     def value(n):
         return theta_at_nbar(params, t, n)

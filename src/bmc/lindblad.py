@@ -1,17 +1,16 @@
 """Master-equation propagation of a damped bosonic mode in a thermal reservoir.
 
-The generator is applied directly as dense matrix products (the superoperator
-is never materialized) and integrated in the interaction picture, so there is
-no free-Hamiltonian commutator term. The adaptive Dormand-Prince 5(4) stepper
-is the default; a fixed-step classical RK4 is kept for deterministic fixtures.
+The generator is applied as shifted-slice multiply-adds on rho, O(d^2) per
+evaluation (the superoperator is never materialized), and integrated in the
+interaction picture, so there is no free-Hamiltonian commutator term. The
+adaptive Dormand-Prince 5(4) stepper is the default; a fixed-step classical
+RK4 is kept for deterministic fixtures.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,10 +20,13 @@ from .errors import (
     StiffnessError,
     TruncationError,
 )
-from .fock import DensityMatrix, ladder_operators
+from .fock import DensityMatrix
 
 # Trace drift beyond this level means the representation lost physical weight.
 TRACE_DRIFT_LIMIT = 1e-6
+# The truncated generator conserves trace, so heating past the cutoff shows
+# only as population piling up in the top level; beyond this it is too much.
+CUTOFF_POPULATION_LIMIT = 1e-10
 
 # Output-state invariant tolerances (looser than the constructors').
 _EVOLVE_HERM_TOL = 1e-10
@@ -97,57 +99,48 @@ class IntegratorOptions:
             raise InvalidParameterError("fixed-step rk4 needs a finite max_step")
 
 
-_PRODUCT_LOCK = threading.Lock()
-_PRODUCT_CACHE: dict[int, SimpleNamespace] = {}
+def _generator(dim: int, params: ChannelParams):
+    """Return f(rho) = d(rho)/dt on the dim-level truncated Fock space.
 
-
-def _operator_products(dim: int) -> SimpleNamespace:
-    with _PRODUCT_LOCK:
-        ops = _PRODUCT_CACHE.get(dim)
-        if ops is None:
-            a, adag = ladder_operators(dim)
-            ops = SimpleNamespace(
-                a=a,
-                adag=adag,
-                number=adag @ a,
-                anti_number=a @ adag,
-                adag_sq=adag @ adag,
-                a_sq=a @ a,
-            )
-            for mat in (ops.number, ops.anti_number, ops.adag_sq, ops.a_sq):
-                mat.setflags(write=False)
-            _PRODUCT_CACHE[dim] = ops
-    return ops
-
-
-def _drift_operator(ops: SimpleNamespace, params: ChannelParams) -> np.ndarray:
-    # Hermitian drift A such that the generator reads
-    # A rho + rho A + (sandwich terms); covers all anticommutator pieces.
-    n_res = params.reservoir_photons
-    m = params.m_squeeze
-    drift = (n_res + 1.0) * ops.number + n_res * ops.anti_number
-    if m != 0:
-        drift = drift + m * ops.adag_sq + m.conjugate() * ops.a_sq
-    return (-0.5 * params.gamma) * drift
-
-
-def _rhs_matrix(
-    rho: np.ndarray, ops: SimpleNamespace, drift: np.ndarray, params: ChannelParams
-) -> np.ndarray:
+    a and a^dagger are single off-diagonals, so every term of the generator
+    scales shifted slices of rho and one evaluation costs O(dim^2):
+    (a rho a^dagger)_mn = sqrt((m+1)(n+1)) rho_{m+1,n+1},
+    (a^dagger rho a)_mn = sqrt(mn) rho_{m-1,n-1}, and the squeezing terms
+    are shifts by one or two. The anticommutator pieces form a drift A with
+    A rho + rho A; its diagonal uses the truncated a a^dagger =
+    diag(1, ..., dim-1, 0), whose zero last entry keeps the trace conserved.
+    """
     gamma = params.gamma
     n_res = params.reservoir_photons
     m = params.m_squeeze
-    out = drift @ rho + rho @ drift
-    a_rho = ops.a @ rho
-    out += (gamma * (n_res + 1.0)) * (a_rho @ ops.adag)
-    if n_res != 0.0 or m != 0:
-        adag_rho = ops.adag @ rho
+    levels = np.arange(dim, dtype=float)
+    anti_number = levels + 1.0
+    anti_number[-1] = 0.0
+    diag = (-0.5 * gamma) * ((n_res + 1.0) * levels + n_res * anti_number)
+    drift_sum = diag[:, None] + diag[None, :]
+    root = np.sqrt(levels[1:])  # root[k] = sqrt(k + 1)
+    weights = root[:, None] * root[None, :]  # sqrt((k+1)(l+1))
+    loss = (gamma * (n_res + 1.0)) * weights
+    gain = (gamma * n_res) * weights
+    # Off-diagonal drift -gamma/2 (M a^dagger^2 + M* a^2) and squeezed sandwiches.
+    pair = (-0.5 * gamma * m) * np.sqrt(levels[1:-1] * levels[2:])
+    sandwich = (gamma * m) * weights
+
+    def f(rho: np.ndarray) -> np.ndarray:
+        out = drift_sum * rho
+        out[:-1, :-1] += loss * rho[1:, 1:]
         if n_res != 0.0:
-            out += (gamma * n_res) * (adag_rho @ ops.a)
+            out[1:, 1:] += gain * rho[:-1, :-1]
         if m != 0:
-            out += (gamma * m) * (adag_rho @ ops.adag)
-            out += (gamma * m.conjugate()) * (a_rho @ ops.a)
-    return out
+            out[2:, :] += pair[:, None] * rho[:-2, :]
+            out[:-2, :] += pair.conj()[:, None] * rho[2:, :]
+            out[:, :-2] += rho[:, 2:] * pair[None, :]
+            out[:, 2:] += rho[:, :-2] * pair.conj()[None, :]
+            out[1:, :-1] += sandwich * rho[:-1, 1:]
+            out[:-1, 1:] += sandwich.conj() * rho[1:, :-1]
+        return out
+
+    return f
 
 
 def lindblad_rhs(rho: DensityMatrix, params: ChannelParams) -> DensityMatrix:
@@ -156,9 +149,7 @@ def lindblad_rhs(rho: DensityMatrix, params: ChannelParams) -> DensityMatrix:
     The result is traceless (exactly, by cyclicity of the truncated trace)
     and Hermitian for Hermitian input; it is a derivative, not a state.
     """
-    ops = _operator_products(rho.dim)
-    drift = _drift_operator(ops, params)
-    return DensityMatrix(_rhs_matrix(rho.entries, ops, drift, params))
+    return DensityMatrix(_generator(rho.dim, params)(rho.entries))
 
 
 # Dormand-Prince 5(4) tableau (the propagated solution is 5th order).
@@ -188,6 +179,15 @@ def _check_trace(y: np.ndarray, t: float) -> None:
         raise TruncationError(
             f"trace drifted by {drift:.3e} at t={t:.6g}; "
             "the truncation dimension is insufficient for this evolution"
+        )
+
+
+def _check_cutoff(y: np.ndarray, t: float) -> None:
+    top = y[-1, -1].real
+    if not top <= CUTOFF_POPULATION_LIMIT:
+        raise TruncationError(
+            f"population {top:.3e} in the top Fock level {y.shape[0] - 1} "
+            f"at t={t:.6g}; the truncation dimension is insufficient for this evolution"
         )
 
 
@@ -263,7 +263,8 @@ def evolve_trajectory(
 
     `times` must be finite, nonnegative and nondecreasing; a single
     integration covers all of them. Every returned state is checked against
-    the trajectory invariants (trace, Hermiticity, positivity).
+    the trajectory invariants (trace, Hermiticity, positivity) and, when the
+    reservoir feeds photons, against population building up at the cutoff.
     """
     opts = opts if opts is not None else IntegratorOptions()
     times = [float(t) for t in times]
@@ -281,12 +282,8 @@ def evolve_trajectory(
     y = np.array(rho0.entries, dtype=complex)
     _check_trace(y, 0.0)
 
-    ops = _operator_products(rho0.dim)
-    drift = _drift_operator(ops, params)
-
-    def f(mat):
-        return _rhs_matrix(mat, ops, drift, params)
-
+    f = _generator(rho0.dim, params)
+    feeds_photons = params.beta_rate > 0.0 or params.m_squeeze != 0
     stepper = _integrate_rk45 if opts.method == "rk45" else _integrate_rk4
     out: list[tuple[float, DensityMatrix]] = []
     t_now = 0.0
@@ -297,6 +294,8 @@ def evolve_trajectory(
         if t > t_now:
             y = stepper(f, y, t_now, t, opts)
             t_now = t
+        if feeds_photons:
+            _check_cutoff(y, t)
         state = DensityMatrix(y.copy()).validate(
             herm_tol=_EVOLVE_HERM_TOL,
             trace_tol=_EVOLVE_TRACE_TOL,

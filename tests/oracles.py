@@ -94,3 +94,29 @@ def thermal_entropy_by_summation(n_th, n_terms=4000):
     p = (1.0 / (1.0 + n_th)) * ratio**n
     p = p[p > 0]
     return float(-np.sum(p * np.log2(p)))
+
+
+def dense_lindblad_rhs(rho, params):
+    """Master-equation right-hand side as dense products of the truncated
+    ladder matrices: A rho + rho A plus the four sandwich terms, with the
+    Hermitian drift A = -gamma/2 ((N+1) a^dag a + N a a^dag + M a^dag^2 + M* a^2).
+    Reference for the shifted-slice generator in `bmc.lindblad`."""
+    rho = np.asarray(rho, dtype=complex)
+    a, adag = fock.ladder_operators(rho.shape[0])
+    gamma = params.gamma
+    n_res = params.reservoir_photons
+    m = params.m_squeeze
+    drift = (-0.5 * gamma) * (
+        (n_res + 1.0) * (adag @ a)
+        + n_res * (a @ adag)
+        + m * (adag @ adag)
+        + m.conjugate() * (a @ a)
+    )
+    return (
+        drift @ rho
+        + rho @ drift
+        + (gamma * (n_res + 1.0)) * (a @ rho @ adag)
+        + (gamma * n_res) * (adag @ rho @ a)
+        + (gamma * m) * (adag @ rho @ adag)
+        + (gamma * m.conjugate()) * (a @ rho @ a)
+    )

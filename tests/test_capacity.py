@@ -1,6 +1,8 @@
 import math
+import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -65,6 +67,16 @@ class TestGEntropy:
     def test_negative_rejected(self):
         with pytest.raises(InvalidParameterError):
             g_entropy(-0.1)
+
+    def test_matches_mpmath_over_full_range(self):
+        # the direct form cancels ~log10(x) digits at large x, so the
+        # reference carries enough digits to resolve it at x = 1e300
+        xs = list(np.geomspace(1e-300, 1e300, 241)) + [0.5, 1.0, 1.0 + 1e-12, 2.0, 1e8]
+        with mpmath.workdps(360):
+            for x in xs:
+                xm = mpmath.mpf(float(x))
+                exact = ((1 + xm) * mpmath.log(1 + xm) - xm * mpmath.log(xm)) / mpmath.log(2)
+                assert abs(g_entropy(x) - exact) <= 1e-14 * exact, x
 
 
 class TestChannelCapacity:
@@ -174,6 +186,11 @@ class TestCapacityPoint:
         assert 0.0 < point.avg_fidelity <= 1.0
         assert point.theta == pytest.approx(point.chi * point.avg_fidelity, abs=1e-15)
 
+    def test_astronomical_signal_returns(self):
+        point = capacity_point(replace(REF, n_bar=1e300), 1.0)
+        assert point.chi == pytest.approx(g_entropy(1e300 * math.exp(-0.1)), rel=1e-3)
+        assert 0.0 < point.avg_fidelity < 1e-290
+
     def test_rejects_inconsistent_product(self):
         with pytest.raises(InvalidParameterError):
             CapacityPoint(t=1.0, chi=1.0, avg_fidelity=0.5, theta=0.7)
@@ -206,6 +223,13 @@ class TestOptimalSignal:
     def test_requires_positive_time(self):
         with pytest.raises(InvalidTimeError):
             optimal_nbar(REF, 0.0)
+
+    @pytest.mark.parametrize("search_max", [math.inf, math.nan])
+    def test_nonfinite_search_max_rejected(self, search_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="search_max"):
+                optimal_nbar(REF, 1.0, search_max=search_max)
 
     def test_residual_reported_matches_sign_flip_identity(self):
         # the algebraic criterion's right side carries a flipped sign

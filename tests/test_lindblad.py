@@ -30,6 +30,7 @@ from bmc import (
 )
 from bmc import lindblad
 from bmc.fock import _coherent_amplitudes
+from oracles import dense_lindblad_rhs
 
 REF = ChannelParams(gamma=0.1, beta_rate=0.01)
 
@@ -96,6 +97,38 @@ class TestRhs:
         drho = lindblad_rhs(rho, REF)
         assert abs(np.trace(drho.entries)) < 1e-12
         assert np.max(np.abs(drho.entries - drho.entries.conj().T)) < 1e-14
+
+
+GENERATOR_PARAMS = [
+    ChannelParams(gamma=0.3),
+    ChannelParams(gamma=0.3, beta_rate=0.2),
+    ChannelParams(gamma=0.3, beta_rate=0.2, m_squeeze=0.5 - 0.4j),
+]
+
+
+def _random_hermitian(dim, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return x + x.conj().T
+
+
+class TestGeneratorEquivalence:
+    @pytest.mark.parametrize("dim", [2, 3, 5, 50])
+    @pytest.mark.parametrize("params", GENERATOR_PARAMS, ids=["loss", "thermal", "squeezed"])
+    def test_matches_dense_products(self, dim, params):
+        x = _random_hermitian(dim, dim)
+        reference = dense_lindblad_rhs(x, params)
+        got = lindblad_rhs(DensityMatrix(x), params).entries
+        assert np.max(np.abs(got - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 50])
+    @pytest.mark.parametrize("params", GENERATOR_PARAMS, ids=["loss", "thermal", "squeezed"])
+    def test_traceless_and_hermitian(self, dim, params):
+        x = _random_hermitian(dim, 100 + dim)
+        drho = lindblad_rhs(DensityMatrix(x), params).entries
+        scale = np.max(np.abs(drho))
+        assert abs(np.trace(drho)) <= 1e-13 * scale
+        assert np.max(np.abs(drho - drho.conj().T)) <= 1e-15 * scale
 
 
 class TestEvolve:
@@ -226,6 +259,12 @@ class TestFailureModes:
         leaky = DensityMatrix(np.outer(amps, amps.conj()))  # trace well below 1
         with pytest.raises(TruncationError, match="trace drifted"):
             evolve(leaky, REF, 1.0)
+
+    def test_heating_past_cutoff_raises_truncation_error(self):
+        # exact <n>(5) = 99.3, far beyond what 20 levels can hold
+        params = ChannelParams(gamma=1.0, beta_rate=100.0)
+        with pytest.raises(TruncationError, match="top Fock level 19"):
+            evolve(projector(number_state(0, 20)), params, 5.0)
 
     def test_unstable_fixed_step_detected(self):
         rho0 = projector(number_state(0, 24))
