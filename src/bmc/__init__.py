@@ -23,7 +23,6 @@ from .capacity import (
     criterion_residual,
     fidelity_analytic,
     g_entropy,
-    golden_section_maximize,
     optimal_nbar,
     theta,
     theta_at_nbar,
@@ -101,7 +100,6 @@ __all__ = [
     "fidelity_with_coherent",
     "field_amplitude",
     "g_entropy",
-    "golden_section_maximize",
     "ladder_operators",
     "lindblad_rhs",
     "mean_photon_number",

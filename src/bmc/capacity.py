@@ -20,6 +20,8 @@ from .lindblad import ChannelParams
 
 _LN2 = math.log(2.0)
 
+DEFAULT_SEARCH_MAX = 1000.0
+
 
 def _xlog2(x: float) -> float:
     # x log2 x with the continuity convention 0 log 0 = 0.
@@ -151,37 +153,8 @@ def criterion_residual(n_bar: float, params: ChannelParams, t: float) -> float:
     return lhs - rhs
 
 
-def golden_section_maximize(
-    fn, lo: float, hi: float, rel_tol: float = 1e-10, max_iter: int = 500
-) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal scalar function on [lo, hi].
-
-    Returns (argmax, max). Used as the optimizer-independent cross-check for
-    `optimal_nbar`.
-    """
-    if not lo < hi:
-        raise InvalidParameterError(f"need lo < hi, got [{lo}, {hi}]")
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * max(1.0, abs(lo) + abs(hi)):
-            break
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = fn(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = fn(x2)
-    x_best = 0.5 * (lo + hi)
-    return x_best, fn(x_best)
-
-
 def optimal_nbar(
-    params: ChannelParams, t: float, search_max: float = 1000.0
+    params: ChannelParams, t: float, search_max: float = DEFAULT_SEARCH_MAX
 ) -> OptimalSignalResult:
     """Maximize Theta over the input signal strength n_bar in (0, search_max].
 

@@ -10,13 +10,15 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage or configuration error, 2 validation failed
 (including insufficient truncation), 3 no interior optimum.
+
+Every setting resolves key by key in rising precedence: reference values,
+the sweep preset, the `--config` file, then flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, capacity, fock, lindblad
-from .capacity import OptimalSignalResult, capacity_point, theta_at_nbar
+from .capacity import DEFAULT_SEARCH_MAX, capacity_point, theta_at_nbar
 from .errors import (
     ConfigError,
     InvalidDimensionError,
@@ -49,25 +51,17 @@ ENTROPY_GAP_THRESHOLD = 1e-6
 CSV_HEADER = "swept_value,t,chi_bits,avg_fidelity,theta"
 
 _SWEPT_CHOICES = ("n_bar", "beta_rate", "gamma", "t")
+_SWEEP_KEYS = ("swept", "lo", "hi", "steps", "t_grid")
 
-# Reference parameter values used when neither flags nor config supply them.
-_DEFAULT_GAMMA = 0.1
-_DEFAULT_BETA = 0.01
-_DEFAULT_NBAR = 5.0
+# Channel parameters used when neither a preset, the config file nor a flag sets them.
+_REFERENCE = {"gamma": 0.1, "beta": 0.01, "n_bar": 5.0, "m_re": 0.0, "m_im": 0.0}
 
-
-def default_dim() -> int:
-    """Truncation dimension, overridable through BMC_DEFAULT_DIM."""
-    raw = os.environ.get("BMC_DEFAULT_DIM")
-    if raw is None:
-        return DEFAULT_DIM
-    try:
-        dim = int(raw)
-    except ValueError:
-        raise ConfigError(f"BMC_DEFAULT_DIM must be an integer, got {raw!r}") from None
-    if dim < 2:
-        raise ConfigError(f"BMC_DEFAULT_DIM must be >= 2, got {dim}")
-    return dim
+# Shipped figure sweeps over the reference channel parameters.
+_PRESETS = {
+    "fig1": {"swept": "n_bar", "lo": 1.0, "hi": 10.0, "steps": 10},
+    "fig2": {"swept": "beta_rate", "lo": 0.01, "hi": 0.1, "steps": 10},
+    "fig3": {"swept": "gamma", "lo": 0.1, "hi": 0.5, "steps": 5},
+}
 
 
 @dataclass(frozen=True)
@@ -86,8 +80,8 @@ class SweepSpec:
             raise InvalidParameterError(
                 f"swept must be one of {_SWEPT_CHOICES}, got {self.swept!r}"
             )
-        if not self.lo < self.hi:
-            raise InvalidParameterError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise InvalidParameterError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
         if self.steps < 2:
             raise InvalidParameterError(f"steps must be >= 2, got {self.steps}")
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
@@ -97,6 +91,8 @@ class SweepSpec:
         if self.swept == "t":
             if self.lo < 0.0:
                 raise InvalidTimeError("swept times must be >= 0")
+        elif not self.t_grid:
+            raise InvalidTimeError("t_grid needs at least one time")
         else:
             # Endpoint construction exercises the full parameter validation.
             replace(self.fixed, **{self.swept: float(self.lo)})
@@ -105,14 +101,9 @@ class SweepSpec:
 
 def preset_spec(name: str) -> SweepSpec:
     """Shipped figure presets over the reference channel parameters."""
-    base = ChannelParams(gamma=_DEFAULT_GAMMA, beta_rate=_DEFAULT_BETA, n_bar=_DEFAULT_NBAR)
-    if name == "fig1":
-        return SweepSpec("n_bar", 1.0, 10.0, 10, base)
-    if name == "fig2":
-        return SweepSpec("beta_rate", 0.01, 0.1, 10, base)
-    if name == "fig3":
-        return SweepSpec("gamma", 0.1, 0.5, 5, base)
-    raise ConfigError(f"unknown preset {name!r}")
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}")
+    return SweepSpec(fixed=_params(_REFERENCE), **_PRESETS[name])
 
 
 def sweep_rows(spec: SweepSpec) -> list[tuple[float, capacity.CapacityPoint]]:
@@ -184,14 +175,6 @@ def write_plot_script(csv_path) -> Path:
     return script_path
 
 
-def cmd_sweep(spec: SweepSpec, out_path, plot: bool = False) -> Path:
-    """Run a sweep and write the CSV (plus a sibling plot script if asked)."""
-    path = write_sweep_csv(sweep_rows(spec), out_path)
-    if plot:
-        write_plot_script(path)
-    return path
-
-
 @dataclass(frozen=True)
 class WorstCase:
     """Largest deviations seen in a validation run and where they occurred."""
@@ -234,9 +217,14 @@ def run_validation(
             "validation compares against closed forms derived for m_squeeze = 0; "
             "rerun with --m-re 0 --m-im 0"
         )
-    dim = default_dim() if dim is None else int(dim)
+    dim = DEFAULT_DIM if dim is None else int(dim)
     etas = tuple(complex(e) for e in etas)
     times = tuple(float(t) for t in times)
+    if not etas or not times:
+        raise InvalidParameterError("validation needs at least one eta and one time")
+    for name, tol in (("trace_tol", trace_tol), ("entropy_tol", entropy_tol)):
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise InvalidParameterError(f"{name} must be finite and >= 0, got {tol}")
     for eta in etas:
         loss = fock.coherent_truncation_loss(eta, dim)
         if loss > fock.COHERENT_LOSS_TOL:
@@ -288,49 +276,28 @@ def print_validation_table(
     report: ValidationReport,
     trace_tol: float = TRACE_DISTANCE_THRESHOLD,
     entropy_tol: float = ENTROPY_GAP_THRESHOLD,
-    file=None,
 ) -> None:
-    file = file if file is not None else sys.stdout
-    print(f"{'eta':>12}  {'t [s]':>8}  {'trace_dist':>12}  {'entropy_gap':>12}  status", file=file)
+    print(f"{'eta':>12}  {'t [s]':>8}  {'trace_dist':>12}  {'entropy_gap':>12}  status")
     for (eta, t), td, gap in zip(report.grid, report.trace_distances, report.entropy_gaps):
         ok = td <= trace_tol and gap <= entropy_tol
         print(
             f"{_format_complex(eta):>12}  {t:>8g}  {td:>12.3e}  {gap:>12.3e}  "
-            f"{'ok' if ok else 'FAIL'}",
-            file=file,
+            f"{'ok' if ok else 'FAIL'}"
         )
     worst = report.worst_case
     print(
         f"worst trace distance {worst.max_trace_distance:.3e} at "
         f"(eta={_format_complex(worst.trace_point[0])}, t={worst.trace_point[1]:g}); "
         f"worst entropy gap {worst.max_entropy_gap:.3e} at "
-        f"(eta={_format_complex(worst.entropy_point[0])}, t={worst.entropy_point[1]:g})",
-        file=file,
+        f"(eta={_format_complex(worst.entropy_point[0])}, t={worst.entropy_point[1]:g})"
     )
-    print("validation PASSED" if report.passed else "validation FAILED", file=file)
+    print("validation PASSED" if report.passed else "validation FAILED")
 
 
 def _format_complex(z: complex) -> str:
     if z.imag == 0:
         return f"{z.real:g}"
     return f"{z.real:g}{z.imag:+g}j"
-
-
-def cmd_validate(
-    params: ChannelParams,
-    etas=DEFAULT_ETAS,
-    times=DEFAULT_TIMES,
-    dim: int | None = None,
-    trace_tol: float = TRACE_DISTANCE_THRESHOLD,
-    entropy_tol: float = ENTROPY_GAP_THRESHOLD,
-) -> ValidationReport:
-    """Run the oracle grid and print the comparison table."""
-    report = run_validation(
-        params, etas=etas, times=times, dim=dim,
-        trace_tol=trace_tol, entropy_tol=entropy_tol,
-    )
-    print_validation_table(report, trace_tol, entropy_tol)
-    return report
 
 
 def write_theta_curve(
@@ -346,58 +313,26 @@ def write_theta_curve(
     return out_path
 
 
-def cmd_optimal(
-    params: ChannelParams,
-    t: float,
-    search_max: float = 1000.0,
-    curve_path=None,
-    file=None,
-) -> OptimalSignalResult:
-    """Run the optimal-signal search, print the result, optionally emit a curve."""
-    file = file if file is not None else sys.stdout
-    result = capacity.optimal_nbar(params, t, search_max)
-    if not result.interior_optimum:
-        print(
-            f"no interior optimum: theta is monotone in n_bar over (0, {search_max:g}] "
-            f"at t={t:g} (it keeps growing with the signal)",
-            file=file,
-        )
-        return result
-    print(f"n_bar_opt          = {result.n_bar_opt:.9g}", file=file)
-    print(f"theta(n_bar_opt)   = {result.theta_at_opt:.9g} bits", file=file)
-    print(f"criterion residual = {result.criterion_residual:.9g}", file=file)
-    print(
-        "second-order check =",
-        "maximum confirmed" if result.second_order_ok else "NOT confirmed",
-        file=file,
-    )
-    if curve_path is not None:
-        path = write_theta_curve(params, t, search_max, curve_path)
-        print(f"theta curve written to {path}", file=file)
-    return result
+# --- settings: config files, flags and their precedence ----------------------
 
 
-# --- configuration files -----------------------------------------------------
-
-_PARAM_KEYS = ("gamma", "beta", "n_bar", "m_re", "m_im")
-_RUN_KEYS = ("t", "dim")
-_SWEEP_KEYS = ("swept", "lo", "hi", "steps", "t_grid")
-_ALL_KEYS = _PARAM_KEYS + _RUN_KEYS + _SWEEP_KEYS
+def float_list(raw: str) -> tuple[float, ...]:
+    """Comma-separated floats; empty items are skipped."""
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
 
-def _convert_key(key: str, raw: str, where: str):
-    try:
-        if key == "swept":
-            if raw not in _SWEPT_CHOICES:
-                raise ValueError(f"must be one of {', '.join(_SWEPT_CHOICES)}")
-            return raw
-        if key == "steps" or key == "dim":
-            return int(raw)
-        if key == "t_grid":
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
+def complex_list(raw: str) -> tuple[complex, ...]:
+    """Comma-separated complex numbers such as `0,1+1j`; empty items are skipped."""
+    return tuple(complex(tok.strip()) for tok in raw.split(",") if tok.strip())
+
+
+# Every config key with its converter; a flag that sets a key uses the same one.
+_CONVERTERS = {
+    **dict.fromkeys(("gamma", "beta", "n_bar", "m_re", "m_im", "t", "lo", "hi"), float),
+    **dict.fromkeys(("dim", "steps"), int),
+    "swept": str,
+    "t_grid": float_list,
+}
 
 
 def load_config(path) -> dict:
@@ -416,58 +351,44 @@ def load_config(path) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{where}: expected 'key = value', got {line.strip()!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _CONVERTERS:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{where}: duplicate key {key!r}")
-        values[key] = _convert_key(key, raw, where)
+        try:
+            values[key] = _CONVERTERS[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
     return values
 
 
-def _params_from_mapping(values: dict) -> ChannelParams:
-    m = complex(values.get("m_re", 0.0), values.get("m_im", 0.0))
+def _params(values: dict) -> ChannelParams:
     try:
         return ChannelParams(
-            gamma=values.get("gamma", _DEFAULT_GAMMA),
-            beta_rate=values.get("beta", _DEFAULT_BETA),
-            m_squeeze=m,
-            n_bar=values.get("n_bar", _DEFAULT_NBAR),
+            gamma=values["gamma"],
+            beta_rate=values["beta"],
+            m_squeeze=complex(values["m_re"], values["m_im"]),
+            n_bar=values["n_bar"],
         )
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _sweep_from_mapping(values: dict) -> SweepSpec:
-    missing = [k for k in ("swept", "lo", "hi", "steps") if k not in values]
-    if missing:
-        raise ConfigError(f"sweep definition missing keys: {', '.join(missing)}")
-    try:
-        return SweepSpec(
-            swept=values["swept"],
-            lo=values["lo"],
-            hi=values["hi"],
-            steps=values["steps"],
-            fixed=_params_from_mapping(values),
-            t_grid=values.get("t_grid", DEFAULT_T_GRID),
-        )
-    except (InvalidParameterError, InvalidTimeError) as exc:
-        raise ConfigError(str(exc)) from None
+def resolve(args: argparse.Namespace) -> dict:
+    """Every setting of one parsed command line, keyed by config key.
 
-
-def parse_config(path):
-    """Read a config file as either a SweepSpec or plain ChannelParams.
-
-    Files containing any of the sweep keys build a SweepSpec; otherwise the
-    parameter keys (with reference defaults for the absent ones) build a
-    ChannelParams. CLI flags take precedence over file values.
+    Reference values < preset < config file < flags, key by key; a flag left
+    unset (None) overrides nothing. The validated channel parameters are
+    added under "params".
     """
-    values = load_config(path)
-    if any(k in values for k in _SWEEP_KEYS):
-        return _sweep_from_mapping(values)
-    return _params_from_mapping(values)
-
-
-# --- argument parsing ---------------------------------------------------------
+    values = dict(_REFERENCE)
+    if getattr(args, "preset", None) is not None:
+        values.update(_PRESETS[args.preset])
+    if args.config is not None:
+        values.update(load_config(args.config))
+    values.update((key, val) for key, val in vars(args).items() if val is not None)
+    values["params"] = _params(values)
+    return values
 
 
 class _Parser(argparse.ArgumentParser):
@@ -477,12 +398,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _config_flag(parser, flag: str, key: str, help: str) -> None:
+    parser.add_argument(flag, dest=key, type=_CONVERTERS[key], help=help)
+
+
 def _add_param_flags(parser):
-    parser.add_argument("--gamma", type=float, help="decay rate in 1/s")
-    parser.add_argument("--beta", type=float, help="thermal noise rate in 1/s")
-    parser.add_argument("--nbar", type=float, help="mean input photon number")
-    parser.add_argument("--m-re", type=float, help="Re of the reservoir squeezing")
-    parser.add_argument("--m-im", type=float, help="Im of the reservoir squeezing")
+    _config_flag(parser, "--gamma", "gamma", "decay rate in 1/s")
+    _config_flag(parser, "--beta", "beta", "thermal noise rate in 1/s")
+    _config_flag(parser, "--nbar", "n_bar", "mean input photon number")
+    _config_flag(parser, "--m-re", "m_re", "Re of the reservoir squeezing")
+    _config_flag(parser, "--m-im", "m_im", "Im of the reservoir squeezing")
     parser.add_argument("--config", type=Path, help="key = value configuration file")
 
 
@@ -494,27 +419,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep to CSV")
-    p_sweep.add_argument("--preset", choices=("fig1", "fig2", "fig3"))
+    p_sweep.add_argument("--preset", choices=tuple(_PRESETS))
     p_sweep.add_argument("--swept", choices=_SWEPT_CHOICES)
-    p_sweep.add_argument("--lo", type=float)
-    p_sweep.add_argument("--hi", type=float)
-    p_sweep.add_argument("--steps", type=int)
-    p_sweep.add_argument("--t-grid", help="comma-separated times in s")
+    _config_flag(p_sweep, "--lo", "lo", "first swept value")
+    _config_flag(p_sweep, "--hi", "hi", "last swept value")
+    _config_flag(p_sweep, "--steps", "steps", "number of swept values")
+    _config_flag(p_sweep, "--t-grid", "t_grid", "comma-separated times in s")
     p_sweep.add_argument("--out", type=Path, required=True, help="output CSV path")
     p_sweep.add_argument("--plot", action="store_true", help="emit a sibling plot script")
     _add_param_flags(p_sweep)
 
     p_val = sub.add_parser("validate", help="integrator-vs-closed-form check")
-    p_val.add_argument("--etas", help="comma-separated complex input amplitudes")
-    p_val.add_argument("--times", help="comma-separated times in s")
-    p_val.add_argument("--dim", type=int, help="Fock truncation dimension")
-    p_val.add_argument("--trace-tol", type=float, default=TRACE_DISTANCE_THRESHOLD)
-    p_val.add_argument("--entropy-tol", type=float, default=ENTROPY_GAP_THRESHOLD)
+    p_val.add_argument(
+        "--etas", type=complex_list, default=DEFAULT_ETAS, help="comma-separated input amplitudes"
+    )
+    p_val.add_argument(
+        "--times", type=float_list, default=DEFAULT_TIMES, help="comma-separated times in s"
+    )
+    _config_flag(p_val, "--dim", "dim", f"Fock truncation dimension (default {DEFAULT_DIM})")
+    p_val.add_argument(
+        "--trace-tol", type=float, default=TRACE_DISTANCE_THRESHOLD, help="default %(default)g"
+    )
+    p_val.add_argument(
+        "--entropy-tol", type=float, default=ENTROPY_GAP_THRESHOLD, help="default %(default)g"
+    )
     _add_param_flags(p_val)
 
     p_opt = sub.add_parser("optimal", help="signal strength maximizing theta")
-    p_opt.add_argument("--t", type=float, help="channel time in s (required, > 0)")
-    p_opt.add_argument("--search-max", type=float, default=1000.0)
+    _config_flag(p_opt, "--t", "t", "channel time in s (required, > 0)")
+    p_opt.add_argument(
+        "--search-max", type=float, default=DEFAULT_SEARCH_MAX, help="default %(default)g"
+    )
     p_opt.add_argument("--curve", action="store_true", help="emit n_bar,theta CSV to --out")
     p_opt.add_argument("--out", type=Path, help="curve CSV path (with --curve)")
     _add_param_flags(p_opt)
@@ -522,106 +457,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged_mapping(args) -> dict:
-    values = load_config(args.config) if args.config else {}
-    overrides = {
-        "gamma": args.gamma,
-        "beta": args.beta,
-        "n_bar": args.nbar,
-        "m_re": getattr(args, "m_re", None),
-        "m_im": getattr(args, "m_im", None),
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    return values
-
-
-def _params_from_args(args) -> ChannelParams:
-    return _params_from_mapping(_merged_mapping(args))
-
-
-def _parse_float_list(raw: str, what: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"cannot parse {what} list {raw!r}") from None
-
-
-def _parse_complex_list(raw: str, what: str) -> tuple[complex, ...]:
-    try:
-        return tuple(complex(tok.strip()) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"cannot parse {what} list {raw!r}") from None
-
-
 def _run_sweep(args) -> int:
-    # Precedence: preset < config file < flags, field by field.
-    base = preset_spec(args.preset) if args.preset else None
-    values = _merged_mapping(args)
-    if args.t_grid is not None:
-        values["t_grid"] = _parse_float_list(args.t_grid, "t_grid")
-    for key, val in (("swept", args.swept), ("lo", args.lo), ("hi", args.hi), ("steps", args.steps)):
-        if val is not None:
-            values[key] = val
-    if base is not None:
-        defaults = {
-            "swept": base.swept,
-            "lo": base.lo,
-            "hi": base.hi,
-            "steps": base.steps,
-            "t_grid": base.t_grid,
-            "gamma": base.fixed.gamma,
-            "beta": base.fixed.beta_rate,
-            "n_bar": base.fixed.n_bar,
-        }
-        values = {**defaults, **values}
-    if not any(k in values for k in _SWEEP_KEYS):
+    values = resolve(args)
+    missing = [k for k in ("swept", "lo", "hi", "steps") if k not in values]
+    if missing:
         raise ConfigError(
-            "sweep needs --preset, a config sweep definition, or --swept/--lo/--hi/--steps"
+            f"sweep definition missing {', '.join(missing)}: "
+            "give --preset, a config sweep definition, or --swept/--lo/--hi/--steps"
         )
-    spec = _sweep_from_mapping(values)
-    path = cmd_sweep(spec, args.out, plot=args.plot)
+    spec = SweepSpec(fixed=values["params"], **{k: values[k] for k in _SWEEP_KEYS if k in values})
+    path = write_sweep_csv(sweep_rows(spec), args.out)
+    if args.plot:
+        write_plot_script(path)
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def _run_validate(args) -> int:
-    params = _params_from_args(args)
-    values = _merged_mapping(args)
-    dim = args.dim if args.dim is not None else values.get("dim")
-    etas = _parse_complex_list(args.etas, "eta") if args.etas else DEFAULT_ETAS
-    times = _parse_float_list(args.times, "times") if args.times else DEFAULT_TIMES
+    values = resolve(args)
+    trace_tol, entropy_tol = values["trace_tol"], values["entropy_tol"]
     try:
-        report = cmd_validate(
-            params,
-            etas=etas,
-            times=times,
-            dim=dim,
-            trace_tol=args.trace_tol,
-            entropy_tol=args.entropy_tol,
+        report = run_validation(
+            values["params"],
+            etas=values["etas"],
+            times=values["times"],
+            dim=values.get("dim"),
+            trace_tol=trace_tol,
+            entropy_tol=entropy_tol,
         )
     except TruncationError as exc:
         print(f"truncation insufficient: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_FAILED
+    print_validation_table(report, trace_tol, entropy_tol)
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAILED
 
 
 def _run_optimal(args) -> int:
-    values = _merged_mapping(args)
-    t = args.t if args.t is not None else values.get("t")
-    if t is None:
+    values = resolve(args)
+    if "t" not in values:
         raise ConfigError("optimal needs --t (or a config t value)")
-    if args.curve and args.out is None:
-        raise ConfigError("--curve needs --out for the CSV path")
-    params = _params_from_args(args)
-    result = cmd_optimal(
-        params,
-        float(t),
-        search_max=args.search_max,
-        curve_path=args.out if args.curve else None,
+    if args.curve != (args.out is not None):
+        raise ConfigError("--curve and --out go together: --curve writes the CSV that --out names")
+    params, t, search_max = values["params"], values["t"], values["search_max"]
+    result = capacity.optimal_nbar(params, t, search_max)
+    if not result.interior_optimum:
+        print(
+            f"no interior optimum: theta is monotone in n_bar over (0, {search_max:g}] "
+            f"at t={t:g} (it keeps growing with the signal)"
+        )
+        return EXIT_NO_OPTIMUM
+    print(f"n_bar_opt          = {result.n_bar_opt:.9g}")
+    print(f"theta(n_bar_opt)   = {result.theta_at_opt:.9g} bits")
+    print(f"criterion residual = {result.criterion_residual:.9g}")
+    print(
+        "second-order check =",
+        "maximum confirmed" if result.second_order_ok else "NOT confirmed",
     )
-    return EXIT_OK if result.interior_optimum else EXIT_NO_OPTIMUM
+    if args.curve:
+        path = write_theta_curve(params, t, search_max, args.out)
+        print(f"theta curve written to {path}")
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -635,10 +530,8 @@ def main(argv=None) -> int:
         InvalidParameterError,
         InvalidTimeError,
         InvalidDimensionError,
+        OSError,
     ) as exc:
-        print(f"bmc {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
         print(f"bmc {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

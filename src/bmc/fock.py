@@ -165,6 +165,8 @@ def _coherent_amplitudes(eta: complex, dim: int) -> tuple[np.ndarray, float]:
     # Stable recurrence c_n = c_{n-1} * eta / sqrt(n) starting from the
     # vacuum overlap, instead of eta**n / sqrt(n!) which overflows early.
     eta = complex(eta)
+    if not (math.isfinite(eta.real) and math.isfinite(eta.imag)):
+        raise InvalidParameterError(f"coherent amplitude must be finite, got {eta}")
     c = np.empty(dim, dtype=complex)
     c[0] = math.exp(-0.5 * abs(eta) ** 2)
     for n in range(1, dim):

@@ -64,7 +64,7 @@ class ChannelParams:
             raise InvalidParameterError(f"n_bar must be >= 0, got {self.n_bar}")
         n_res = self.beta_rate / self.gamma
         bound = n_res * (n_res + 1.0)
-        if abs(self.m_squeeze) ** 2 > bound + 1e-12 * max(1.0, bound):
+        if not abs(self.m_squeeze) ** 2 <= bound + 1e-12 * max(1.0, bound):
             raise InvalidParameterError(
                 f"m_squeeze violates |M|^2 <= N(N+1): |{self.m_squeeze}|^2 > {bound:.6g}"
             )

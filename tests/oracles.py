@@ -10,7 +10,7 @@ import math
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from bmc import DensityMatrix, analytic, fock
+from bmc import DensityMatrix, InvalidParameterError, analytic, fock
 
 
 def gauss_laguerre_ensemble_average(params, t, n_nodes=64, weight_cutoff=1e-16):
@@ -120,3 +120,32 @@ def dense_lindblad_rhs(rho, params):
         + (gamma * m) * (adag @ rho @ adag)
         + (gamma * m.conjugate()) * (a @ rho @ a)
     )
+
+
+def golden_section_maximize(
+    fn, lo: float, hi: float, rel_tol: float = 1e-10, max_iter: int = 500
+) -> tuple[float, float]:
+    """Golden-section maximization of a unimodal scalar function on [lo, hi].
+
+    Returns (argmax, max). The optimizer-independent cross-check for
+    `bmc.optimal_nbar`.
+    """
+    if not lo < hi:
+        raise InvalidParameterError(f"need lo < hi, got [{lo}, {hi}]")
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    for _ in range(max_iter):
+        if hi - lo <= rel_tol * max(1.0, abs(lo) + abs(hi)):
+            break
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = fn(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = fn(x2)
+    x_best = 0.5 * (lo + hi)
+    return x_best, fn(x_best)

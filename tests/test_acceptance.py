@@ -22,7 +22,6 @@ from bmc import (
     evolve_coherent_analytic,
     evolve_trajectory,
     g_entropy,
-    golden_section_maximize,
     optimal_nbar,
     projector,
     theta_at_nbar,
@@ -31,7 +30,7 @@ from bmc import (
     von_neumann_entropy,
 )
 from bmc import analytic, cli
-from oracles import gauss_laguerre_ensemble_average
+from oracles import gauss_laguerre_ensemble_average, golden_section_maximize
 
 REF = ChannelParams(gamma=0.1, beta_rate=0.01, n_bar=5.0)
 ETAS = (0.0 + 0.0j, 0.5 + 0.0j, 1.0 + 0.0j, 1.0 + 1.0j)

@@ -21,7 +21,6 @@ from bmc import (
     fidelity_analytic,
     fidelity_with_coherent,
     g_entropy,
-    golden_section_maximize,
     optimal_nbar,
     theta,
     theta_at_nbar,
@@ -31,7 +30,7 @@ from bmc import (
     von_neumann_entropy,
 )
 from bmc import analytic
-from oracles import gauss_laguerre_scalar_average
+from oracles import gauss_laguerre_scalar_average, golden_section_maximize
 
 REF = ChannelParams(gamma=0.1, beta_rate=0.01, n_bar=5.0)
 
@@ -257,14 +256,3 @@ class TestCriterionResidual:
             criterion_residual(0.0, REF, 1.0)
         with pytest.raises(InvalidTimeError):
             criterion_residual(1.0, REF, 0.0)
-
-
-class TestGoldenSection:
-    def test_recovers_parabola_maximum(self):
-        x, val = golden_section_maximize(lambda x: -((x - 2.3) ** 2), 0.0, 10.0)
-        assert x == pytest.approx(2.3, abs=1e-6)
-        assert val == pytest.approx(0.0, abs=1e-10)
-
-    def test_rejects_empty_interval(self):
-        with pytest.raises(InvalidParameterError):
-            golden_section_maximize(lambda x: x, 1.0, 1.0)

@@ -1,8 +1,19 @@
+import math
+import shlex
+import warnings
 from pathlib import Path
 
 import pytest
 
-from bmc import ChannelParams, ConfigError, capacity_point, optimal_nbar, theta_at_nbar
+from bmc import (
+    ChannelParams,
+    ConfigError,
+    InvalidParameterError,
+    InvalidTimeError,
+    capacity_point,
+    optimal_nbar,
+    theta_at_nbar,
+)
 from bmc import cli
 from bmc.cli import (
     EXIT_NO_OPTIMUM,
@@ -10,13 +21,16 @@ from bmc.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION_FAILED,
     SweepSpec,
-    parse_config,
+    load_config,
     preset_spec,
+    resolve,
     run_validation,
     sweep_rows,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
+REF = ChannelParams(gamma=0.1, beta_rate=0.01, n_bar=5.0)
 
 
 def read_csv(path):
@@ -26,11 +40,15 @@ def read_csv(path):
     return header, rows
 
 
+def resolve_argv(*argv):
+    return resolve(cli.build_parser().parse_args([str(a) for a in argv]))
+
+
 class TestParseConfig:
     def test_parameter_file(self, tmp_path):
         conf = tmp_path / "params.conf"
         conf.write_text("# reference point\ngamma = 0.1\nbeta = 0.01\nn_bar = 5\n")
-        params = parse_config(conf)
+        params = resolve_argv("optimal", "--config", conf)["params"]
         assert params == ChannelParams(gamma=0.1, beta_rate=0.01, n_bar=5.0)
 
     def test_sweep_file(self, tmp_path):
@@ -38,41 +56,71 @@ class TestParseConfig:
         conf.write_text(
             "swept = n_bar\nlo = 1\nhi = 10\nsteps = 5\nt_grid = 0.5, 1\ngamma = 0.2\n"
         )
-        spec = parse_config(conf)
-        assert isinstance(spec, SweepSpec)
-        assert spec.swept == "n_bar"
-        assert spec.steps == 5
-        assert spec.t_grid == (0.5, 1.0)
-        assert spec.fixed.gamma == 0.2
+        values = resolve_argv("sweep", "--config", conf, "--out", tmp_path / "o.csv")
+        assert values["swept"] == "n_bar"
+        assert values["steps"] == 5
+        assert values["t_grid"] == (0.5, 1.0)
+        assert values["params"].gamma == 0.2
 
     def test_validation_error_names_key(self, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("gamma = -1\n")
         with pytest.raises(ConfigError, match="gamma"):
-            parse_config(conf)
+            resolve_argv("optimal", "--config", conf)
 
     def test_unknown_key_reports_line(self, tmp_path):
         conf = tmp_path / "c.conf"
         conf.write_text("gamma = 0.1\nwavelength = 7\n")
         with pytest.raises(ConfigError, match=r"c\.conf:2.*wavelength"):
-            parse_config(conf)
+            load_config(conf)
 
     def test_unparseable_value_names_key(self, tmp_path):
         conf = tmp_path / "c.conf"
         conf.write_text("beta = fast\n")
         with pytest.raises(ConfigError, match="beta"):
-            parse_config(conf)
+            load_config(conf)
 
     def test_duplicate_key_rejected(self, tmp_path):
         conf = tmp_path / "c.conf"
         conf.write_text("gamma = 0.1\ngamma = 0.2\n")
         with pytest.raises(ConfigError, match="duplicate"):
-            parse_config(conf)
+            load_config(conf)
 
     def test_empty_file_gives_reference_defaults(self, tmp_path):
         conf = tmp_path / "empty.conf"
         conf.write_text("\n")
-        assert parse_config(conf) == ChannelParams(gamma=0.1, beta_rate=0.01, n_bar=5.0)
+        params = resolve_argv("optimal", "--config", conf)["params"]
+        assert params == ChannelParams(gamma=0.1, beta_rate=0.01, n_bar=5.0)
+
+
+class TestResolve:
+    def test_precedence_key_by_key(self, tmp_path):
+        # preset < config < flags; keys nobody sets keep the reference value
+        conf = tmp_path / "c.conf"
+        conf.write_text("steps = 3\ngamma = 0.3\nn_bar = 2\n")
+        values = resolve_argv(
+            "sweep", "--preset", "fig1", "--config", conf, "--gamma", "0.2", "--out", "o.csv"
+        )
+        assert (values["swept"], values["lo"], values["hi"]) == ("n_bar", 1.0, 10.0)
+        assert values["steps"] == 3
+        assert values["params"] == ChannelParams(gamma=0.2, beta_rate=0.01, n_bar=2.0)
+
+    def test_config_dim_reaches_validate(self, tmp_path, capsys):
+        conf = tmp_path / "c.conf"
+        conf.write_text("dim = 5\n")
+        argv = ["validate", "--config", str(conf), "--etas", "2", "--times", "0.5"]
+        assert cli.main(argv) == EXIT_VALIDATION_FAILED
+        assert "at dim=5;" in capsys.readouterr().err
+        assert cli.main(argv + ["--dim", "40"]) == EXIT_OK
+
+    def test_config_time_reaches_optimal(self, tmp_path, capsys):
+        conf = tmp_path / "c.conf"
+        conf.write_text("t = 1e-6\n")
+        assert cli.main(["optimal", "--config", str(conf)]) == EXIT_NO_OPTIMUM
+        assert "at t=1e-06" in capsys.readouterr().out
+        assert cli.main(["optimal", "--config", str(conf), "--t", "1"]) == EXIT_OK
+        result = optimal_nbar(REF, 1.0)
+        assert f"{result.n_bar_opt:.9g}" in capsys.readouterr().out
 
 
 class TestSweep:
@@ -218,16 +266,6 @@ class TestValidate:
         assert code == EXIT_VALIDATION_FAILED
         assert "validation FAILED" in capsys.readouterr().out
 
-    def test_env_var_overrides_default_dim(self, monkeypatch):
-        monkeypatch.setenv("BMC_DEFAULT_DIM", "24")
-        assert cli.default_dim() == 24
-        params = ChannelParams(gamma=0.1, beta_rate=0.01)
-        report = run_validation(params, etas=(0.0,), times=(0.1,))
-        assert report.passed  # dim 24 is plenty for the vacuum
-        monkeypatch.setenv("BMC_DEFAULT_DIM", "chunky")
-        with pytest.raises(ConfigError):
-            cli.default_dim()
-
     def test_validation_thresholds_definition_of_passed(self):
         params = ChannelParams(gamma=0.1, beta_rate=0.01)
         report = run_validation(
@@ -293,3 +331,87 @@ class TestUsageErrors:
     def test_unreadable_config(self, tmp_path):
         code = cli.main(["optimal", "--t", "1", "--config", str(tmp_path / "nope.conf")])
         assert code == EXIT_USAGE
+
+
+class TestMisuse:
+    @pytest.mark.parametrize("eta", ["nan", "inf", "1+nanj"])
+    def test_nonfinite_eta_is_usage_error(self, eta, capsys):
+        code = cli.main(["validate", "--etas", eta, "--times", "0.5"])
+        assert code == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--m-re", "--m-im"])
+    def test_nonfinite_squeezing_is_usage_error(self, flag, tmp_path):
+        out = tmp_path / "x.csv"
+        code = cli.main(["sweep", "--preset", "fig1", flag, "nan", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("flag", ["--trace-tol", "--entropy-tol"])
+    def test_bad_tolerance_is_usage_error(self, flag, tol, capsys):
+        code = cli.main(["validate", "--etas", "0", "--times", "0.5", "--dim", "10", flag, tol])
+        assert code == EXIT_USAGE
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kwarg", ["trace_tol", "entropy_tol"])
+    def test_run_validation_rejects_bad_tolerance(self, kwarg):
+        with pytest.raises(InvalidParameterError, match=kwarg):
+            run_validation(REF, etas=(0.0,), times=(0.5,), dim=10, **{kwarg: math.nan})
+
+    @pytest.mark.parametrize("flag", ["--etas", "--times"])
+    def test_empty_validation_grid_is_usage_error(self, flag):
+        assert cli.main(["validate", flag, ""]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("bound", ["--lo=nan", "--hi=inf", "--lo=-inf"])
+    def test_nonfinite_sweep_range_is_usage_error(self, bound, tmp_path, capsys):
+        argv = ["sweep", "--swept", "t", "--lo", "0.5", "--hi", "5", "--steps", "3"]
+        argv += [bound, "--out", str(tmp_path / "x.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+
+    def test_sweep_spec_rejects_nonfinite_range(self):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            SweepSpec("t", 0.5, math.inf, 3, REF)
+
+    def test_empty_time_grid_is_usage_error(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code = cli.main(["sweep", "--preset", "fig1", "--t-grid", "", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        with pytest.raises(InvalidTimeError, match="t_grid"):
+            SweepSpec("n_bar", 1.0, 2.0, 3, REF, t_grid=())
+
+    def test_out_without_curve_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "theta.csv"
+        assert cli.main(["optimal", "--t", "1", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+
+def readme_block(lang):
+    """The first fenced `lang` block of README's "Command line" section."""
+    section = README.read_text().split("## Command line", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadme:
+    def test_documented_commands_run(self, tmp_path):
+        commands = [
+            shlex.split(line, comments=True)[1:]
+            for line in readme_block("sh").replace("\\\n", " ").splitlines()
+            if line.startswith("bmc ")
+        ]
+        assert len(commands) >= 5
+        for argv in commands:
+            if "--out" in argv:
+                i = argv.index("--out") + 1
+                argv[i] = str(tmp_path / Path(argv[i]).name)
+            assert cli.main(argv) == EXIT_OK, shlex.join(argv)
+
+    def test_config_example_lists_every_key(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text(readme_block("ini"))
+        assert set(load_config(conf)) == set(cli._CONVERTERS)

@@ -107,6 +107,14 @@ class TestCoherentState:
         assert state.truncation_loss == pytest.approx(direct, rel=1e-12)
         assert coherent_truncation_loss(2.0, 5) == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, complex(0.5, math.nan), -math.inf])
+    def test_nonfinite_amplitude_rejected(self, eta):
+        # max(0.0, nan) is 0.0, so a NaN amplitude would otherwise report no loss
+        with pytest.raises(InvalidParameterError, match="finite"):
+            coherent_truncation_loss(eta, 10)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            coherent_state(eta, 10)
+
 
 class TestDisplacementOperator:
     def test_zero_is_identity(self):

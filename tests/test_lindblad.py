@@ -54,6 +54,11 @@ class TestChannelParams:
         with pytest.raises(InvalidParameterError, match="m_squeeze"):
             ChannelParams(gamma=0.1, beta_rate=0.01, m_squeeze=0.4)
 
+    @pytest.mark.parametrize("m", [math.nan, complex(0.1, math.nan), math.inf])
+    def test_nonfinite_squeezing_rejected(self, m):
+        with pytest.raises(InvalidParameterError, match="m_squeeze"):
+            ChannelParams(gamma=0.1, beta_rate=0.01, m_squeeze=m)
+
     def test_reservoir_photons(self):
         assert REF.reservoir_photons == pytest.approx(0.1, rel=1e-12)
 
