@@ -457,6 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: constructing it costs more than parsing a command line with it.
+_PARSER = build_parser()
+
+
 def _run_sweep(args) -> int:
     values = resolve(args)
     missing = [k for k in ("swept", "lo", "hi", "steps") if k not in values]
@@ -520,8 +524,7 @@ def _run_optimal(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {"sweep": _run_sweep, "validate": _run_validate, "optimal": _run_optimal}
     try:
         return handlers[args.command](args)

@@ -201,7 +201,7 @@ def test_criterion_7_optimal_signal():
     assert report(
         7,
         passed,
-        f"derivative bisection n_opt={result.n_bar_opt:.6f} vs golden section "
+        f"exact-derivative root n_opt={result.n_bar_opt:.6f} vs golden section "
         f"{golden_x:.6f} (rel diff {rel:.2e} <= 1e-6); neighbors below maximum; "
         f"criterion residual {result.criterion_residual:.6e} (reported, "
         f"not asserted)",

@@ -5,6 +5,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmc import (
     CapacityPoint,
@@ -36,6 +38,52 @@ REF = ChannelParams(gamma=0.1, beta_rate=0.01, n_bar=5.0)
 
 # Frozen from direct evaluation: 6 log2 6 - 5 log2 5.
 G_OF_FIVE = 3.900134529890126
+
+
+def mp_chi(bt, delta):
+    """g(bt + delta) - g(bt) in bits, at the working mpmath precision."""
+    bt, delta = mpmath.mpf(bt), mpmath.mpf(delta)
+
+    def g(x):
+        return (1 + x) * mpmath.log1p(x) - (x * mpmath.log(x) if x > 0 else 0)
+
+    return (g(bt + delta) - g(bt)) / mpmath.log(2)
+
+
+def mp_theta_slope(params, t, n_bar):
+    """Theta and dTheta/dn_bar = F_bar (e^{-gamma t} g'(b) - a' F_bar chi) at n_bar.
+
+    b = beta(t) + delta with delta = n_bar e^{-gamma t}; enough digits are
+    carried that b resolves delta.
+    """
+    gamma, n_bar, t = mpmath.mpf(params.gamma), mpmath.mpf(n_bar), mpmath.mpf(t)
+    bt = params.beta_rate / gamma * -mpmath.expm1(-gamma * t)
+    delta = n_bar * mpmath.exp(-gamma * t)
+    extra = int(max(0, mpmath.log10(bt / delta))) if bt > 0 else 0
+    with mpmath.workdps(50 + extra):
+        decay = mpmath.exp(-gamma * t)
+        bt = params.beta_rate / gamma * -mpmath.expm1(-gamma * t)
+        damping = mpmath.expm1(-gamma * t / 2) ** 2
+        fbar = 1 / (1 + bt + n_bar * damping)
+        b = bt + n_bar * decay
+        chi = mp_chi(bt, n_bar * decay)
+        slope = fbar * (decay * mpmath.log1p(1 / b) / mpmath.log(2) - damping * fbar * chi)
+        return fbar * chi, slope
+
+
+def mp_dtheta(params, t, n_bar):
+    return mp_theta_slope(params, t, n_bar)[1]
+
+
+def criterion_sides(n_bar, params, t):
+    """LHS and RHS of the paper's optimality criterion, as printed."""
+    bt = beta_t(params, t)
+    a = (math.exp(0.5 * params.gamma * t) - 1.0) ** 2
+    b = bt + n_bar * math.exp(-params.gamma * t)
+    xlog2x = bt * math.log2(bt) if bt > 0.0 else 0.0
+    lhs = a * (1.0 + bt) * math.log2(1.0 + bt) - a * xlog2x
+    rhs = (a * bt - (1.0 + bt)) * math.log2(b) - (a - 1.0) * (1.0 + bt) * math.log2(1.0 + b)
+    return lhs, rhs
 
 
 class TestGEntropy:
@@ -111,6 +159,25 @@ class TestChannelCapacity:
     def test_strictly_decreasing_in_time(self):
         chis = [channel_capacity(REF, t) for t in (0.5, 1.0, 2.0, 5.0, 20.0)]
         assert all(b < a for a, b in zip(chis, chis[1:]))
+
+    def test_matches_mpmath_where_decay_is_normal(self):
+        # the signal delta = n_bar e^{-gamma t} runs from 1e-15 beta(t), where
+        # g(beta(t) + delta) - g(beta(t)) cancels almost every digit, to far above it
+        cases = []
+        for gamma in (1e-3, 0.1, 2.0, 10.0):
+            for beta in (0.0, 1e-4, 0.01, 1.0, 100.0):
+                for t in (1e-3, 0.5, 20.0, 700.0 / gamma):
+                    params = ChannelParams(gamma=gamma, beta_rate=beta)
+                    bt, decay = beta_t(params, t), math.exp(-gamma * t)
+                    signals = [1e-12, 1e-3, 1.0, 1e3, 1e9]
+                    if bt > 0.0:
+                        signals += [r * bt for r in (1e-15, 1e-9, 1e-3, 0.5, 0.999, 1.0, 2.0, 1e5)]
+                    cases += [(params, t, d / decay) for d in signals if d / decay <= 1e300]
+        with mpmath.workdps(120):
+            for params, t, n_bar in cases:
+                exact = mp_chi(beta_t(params, t), n_bar * math.exp(-params.gamma * t))
+                chi = channel_capacity(replace(params, n_bar=n_bar), t)
+                assert abs(chi - exact) <= 1e-13 * exact, (params, t, n_bar)
 
     def test_decreasing_in_beta_and_gamma(self):
         betas = np.linspace(0.01, 0.1, 10)
@@ -223,6 +290,110 @@ class TestOptimalSignal:
         with pytest.raises(InvalidTimeError):
             optimal_nbar(REF, 0.0)
 
+    @pytest.mark.parametrize(
+        "params, t, search_max",
+        [(REF, t, 1000.0) for t in (0.5, 1.0, 2.0, 5.0, 20.0)]
+        + [(ChannelParams(gamma=0.1, beta_rate=0.1), 100.0, 1000.0)]
+        # optima with a' n_bar >> 1 + beta(t), where Theta is flat to far
+        # below a double and the unfactored slope loses every digit
+        + [
+            (ChannelParams(gamma=10.0, beta_rate=40.0), 17.5, 1e300),
+            (ChannelParams(gamma=1.0, beta_rate=1.0), 100.0, 1e100),
+            (ChannelParams(gamma=0.1, beta_rate=0.01), 1000.0, 1e200),
+        ],
+    )
+    def test_within_1e11_of_the_exact_root(self, params, t, search_max):
+        # the exact slope changes sign across n_bar_opt (1 -+ 1e-11)
+        result = optimal_nbar(params, t, search_max)
+        assert result.interior_optimum
+        n = result.n_bar_opt
+        assert mp_dtheta(params, t, n * (1.0 - 1e-11)) > 0
+        assert mp_dtheta(params, t, n * (1.0 + 1e-11)) < 0
+
+    def test_no_false_optimum_where_theta_keeps_rising(self):
+        # the signal stays ~1e-15 of beta(t) here, so a cancelling capacity
+        # once produced a spurious interior optimum near n_bar = 3.79
+        params = ChannelParams(gamma=2.0, beta_rate=0.001)
+        assert not optimal_nbar(params, 20.0).interior_optimum
+        values = [theta_at_nbar(params, 20.0, n) for n in (1.0, 3.79, 10.0, 100.0, 1000.0)]
+        assert all(b > a for a, b in zip(values, values[1:]))
+        assert all(mp_dtheta(params, 20.0, n) > 0 for n in (1e-6, 1.0, 3.79, 1000.0))
+
+    @pytest.mark.parametrize("t, search_max", [(800.0, 1000.0), (700.0, 1e-300)])
+    def test_no_output_signal_is_no_optimum(self, t, search_max):
+        # without reservoir photons and with the signal decayed below the
+        # smallest double, Theta is 0 over the whole range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = optimal_nbar(ChannelParams(gamma=1.0), t, search_max)
+        assert not result.interior_optimum
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        gamma=st.floats(1e-3, 10.0),
+        beta=st.one_of(st.just(0.0), st.floats(1e-4, 100.0)),
+        gamma_t=st.floats(1e-3, 700.0),
+        search_max=st.floats(1e-2, 1e6),
+    )
+    def test_optimum_or_monotone_verdict(self, gamma, beta, gamma_t, search_max):
+        params = ChannelParams(gamma=gamma, beta_rate=beta)
+        t = gamma_t / gamma
+        result = optimal_nbar(params, t, search_max)
+        if not result.interior_optimum:
+            assert mp_dtheta(params, t, search_max) >= 0
+            return
+        n = result.n_bar_opt
+        assert 0.0 < n < search_max
+        theta_opt = theta_at_nbar(params, t, n)
+        assert abs(mp_dtheta(params, t, n)) * n / theta_opt <= 1e-9
+        assert theta_at_nbar(params, t, n * (1.0 + 1e-3)) <= theta_opt
+        assert theta_at_nbar(params, t, n * (1.0 - 1e-3)) <= theta_opt
+        assert result.second_order_ok
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        gamma=st.floats(1e-3, 10.0),
+        beta=st.one_of(st.just(0.0), st.floats(1e-4, 100.0)),
+        gamma_t=st.floats(1e-3, 700.0),
+        search_max=st.floats(1e-2, 1e300),
+    )
+    def test_stationary_for_any_search_max(self, gamma, beta, gamma_t, search_max):
+        # an optimum at n_bar ~ 1e17 or beyond sits where Theta is flat to
+        # far below a double's resolution over +-1e-3, so only stationarity
+        # is checked here; and a sign change closer to search_max than that
+        # tolerance cannot be told from one at search_max
+        params = ChannelParams(gamma=gamma, beta_rate=beta)
+        t = gamma_t / gamma
+        try:
+            result = optimal_nbar(params, t, search_max)
+        except InvalidParameterError as exc:
+            # the printed criterion's residual, ~e^{gamma t}, outgrows a double
+            assert "criterion residual" in str(exc) and gamma_t > 650.0
+            return
+        n = result.n_bar_opt if result.interior_optimum else search_max
+        assert 0.0 < n <= search_max
+        theta_n, slope = mp_theta_slope(params, t, n)
+        if result.interior_optimum:
+            assert abs(slope) * n <= 1e-9 * theta_n
+        else:
+            assert slope * n >= -1e-9 * theta_n
+
+    def test_corrected_criterion_vanishes_at_optimum(self):
+        # LHS + RHS = (dTheta/dn_bar) / (F_bar^2 e^{-gamma t}): the printed
+        # criterion with its right side's sign corrected
+        interior = 0
+        for gamma in (0.01, 0.1, 0.5):
+            for beta in (0.001, 0.01, 0.1, 1.0):
+                for t in (0.5, 1.0, 2.0, 5.0, 20.0):
+                    params = ChannelParams(gamma=gamma, beta_rate=beta)
+                    result = optimal_nbar(params, t)
+                    if not result.interior_optimum:
+                        continue
+                    interior += 1
+                    lhs, rhs = criterion_sides(result.n_bar_opt, params, t)
+                    assert abs(lhs + rhs) <= 1e-9 * max(abs(lhs), abs(rhs)), (gamma, beta, t)
+        assert interior >= 30
+
     @pytest.mark.parametrize("search_max", [math.inf, math.nan])
     def test_nonfinite_search_max_rejected(self, search_max):
         with warnings.catch_warnings():
@@ -250,6 +421,11 @@ class TestCriterionResidual:
     def test_finite_in_lossless_reservoir_limit(self):
         quiet = ChannelParams(gamma=0.1, beta_rate=0.0, n_bar=5.0)
         assert math.isfinite(criterion_residual(5.0, quiet, 1.0))
+
+    def test_overflow_raises_typed_error(self):
+        # a = (e^{gamma t / 2} - 1)^2 is beyond a double at gamma t = 2000
+        with pytest.raises(InvalidParameterError, match="finite"):
+            criterion_residual(1.0, ChannelParams(gamma=10.0, beta_rate=0.1), 200.0)
 
     def test_requires_positive_arguments(self):
         with pytest.raises(InvalidParameterError):

@@ -275,6 +275,29 @@ class TestValidate:
         assert all(d > 1e-30 for d in report.trace_distances)
 
 
+class TestSharedParser:
+    def test_sequence_matches_fresh_parser(self, tmp_path, capsys, monkeypatch):
+        # main parses with one parser built at import; a run must not leak
+        # into the next, so each command reads as it does on a new parser
+        commands = [
+            ["optimal", "--t", "1"],
+            ["sweep", "--out", str(tmp_path / "x.csv")],
+            ["validate", "--times", "0.5", "--dim", "30"],
+        ]
+
+        def run(argv):
+            code = cli.main(argv)
+            return (code, *capsys.readouterr())
+
+        shared = [run(argv) for argv in commands]
+        fresh = []
+        for argv in commands:
+            monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            fresh.append(run(argv))
+        assert [r[0] for r in shared] == [EXIT_OK, EXIT_USAGE, EXIT_OK]
+        assert shared == fresh
+
+
 class TestOptimal:
     def test_prints_result_matching_library(self, capsys):
         code = cli.main(["optimal", "--t", "1"])
