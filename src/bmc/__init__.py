@@ -46,7 +46,6 @@ from .fock import (
     displacement_operator,
     fidelity_with_coherent,
     field_amplitude,
-    ladder_operators,
     mean_photon_number,
     number_state,
     projector,
@@ -100,7 +99,6 @@ __all__ = [
     "fidelity_with_coherent",
     "field_amplitude",
     "g_entropy",
-    "ladder_operators",
     "lindblad_rhs",
     "mean_photon_number",
     "number_state",

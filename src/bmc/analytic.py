@@ -13,6 +13,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParameterError, InvalidTimeError, TruncationWarning
 from . import fock
 from .fock import DensityMatrix
@@ -112,6 +114,7 @@ def to_density_matrix(state: GaussianChannelState, dim: int) -> DensityMatrix:
     if state.displacement == 0:
         return thermal
     shift = fock.displacement_operator(state.displacement, dim)
-    mat = shift @ thermal.entries @ shift.conj().T
+    weights = np.diagonal(thermal.entries).real
+    mat = (shift * weights) @ shift.conj().T
     mat /= mat.trace().real
     return DensityMatrix(mat).validate()

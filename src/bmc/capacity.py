@@ -10,7 +10,7 @@ against signal strength, whose stationary point defines the optimal n_bar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .analytic import _check_time, beta_t
 from .errors import InvalidParameterError, InvalidTimeError
@@ -78,6 +78,23 @@ def _tangent_gap(bt: float, delta: float) -> float:
     return (_log1pmx(u) + bt * _log1pmx(-v) + delta * v) / _LN2
 
 
+def _channel_terms(params: ChannelParams, t: float) -> tuple[float, float, float]:
+    """beta(t), the decay e^{-gamma t} and a' = (e^{-gamma t / 2} - 1)^2.
+
+    a' is formed with expm1, which keeps its relative precision at small
+    gamma t, where e^{-gamma t / 2} - 1 cancels.
+    """
+    t = _check_time(t)
+    return beta_t(params, t), math.exp(-params.gamma * t), math.expm1(-0.5 * params.gamma * t) ** 2
+
+
+def _chi(bt: float, delta: float) -> float:
+    # g(bt + delta) - g(bt), or delta g'(b) plus the tangent gap where it cancels
+    if delta < bt:
+        return _tangent_gap(bt, delta) + delta * _g_prime(bt + delta)
+    return g_entropy(bt + delta) - g_entropy(bt)
+
+
 def channel_capacity(params: ChannelParams, t: float) -> float:
     """Capacity in bits at time t, as the subtracted-entropy form.
 
@@ -87,19 +104,13 @@ def channel_capacity(params: ChannelParams, t: float) -> float:
     delta < beta(t); there chi is formed as delta g'(b) plus the tangent gap,
     both without cancellation.
     """
-    t = _check_time(t)
-    bt = beta_t(params, t)
-    delta = params.n_bar * math.exp(-params.gamma * t)
-    if delta < bt:
-        return _tangent_gap(bt, delta) + delta * _g_prime(bt + delta)
-    return g_entropy(bt + delta) - g_entropy(bt)
+    bt, decay, _ = _channel_terms(params, t)
+    return _chi(bt, params.n_bar * decay)
 
 
 def fidelity_analytic(eta: complex, params: ChannelParams, t: float) -> float:
     """Input-output overlap <eta| output |eta> for a coherent input."""
-    t = _check_time(t)
-    b = beta_t(params, t)
-    damping = (math.exp(-0.5 * params.gamma * t) - 1.0) ** 2
+    b, _, damping = _channel_terms(params, t)
     return math.exp(-damping * abs(complex(eta)) ** 2 / (1.0 + b)) / (1.0 + b)
 
 
@@ -108,19 +119,33 @@ def average_fidelity(params: ChannelParams, t: float) -> float:
 
     Equals 1 / (1 + beta(t) + n_bar (e^{-gamma t / 2} - 1)^2).
     """
-    t = _check_time(t)
-    damping = (math.exp(-0.5 * params.gamma * t) - 1.0) ** 2
-    return 1.0 / (1.0 + beta_t(params, t) + params.n_bar * damping)
+    bt, _, damping = _channel_terms(params, t)
+    return 1.0 / (1.0 + bt + params.n_bar * damping)
 
 
 def theta(params: ChannelParams, t: float) -> float:
     """Fidelity-capacity product average_fidelity * channel_capacity."""
-    return average_fidelity(params, t) * channel_capacity(params, t)
+    return theta_at_nbar(params, t, params.n_bar)
 
 
 def theta_at_nbar(params: ChannelParams, t: float, n_bar: float) -> float:
     """Theta with the ensemble mean replaced by n_bar."""
-    return theta(replace(params, n_bar=float(n_bar)), t)
+    return theta_curve(params, t, (n_bar,))[0]
+
+
+def theta_curve(params: ChannelParams, t: float, n_bars) -> list[float]:
+    """Theta at each ensemble mean in n_bars (params.n_bar is not used).
+
+    The channel terms are formed once for the whole curve; each value is
+    average_fidelity * channel_capacity at that ensemble mean.
+    """
+    bt, decay, damping = _channel_terms(params, t)
+    values = []
+    for n_bar in map(float, n_bars):
+        if not math.isfinite(n_bar) or n_bar < 0.0:
+            raise InvalidParameterError(f"n_bar must be >= 0, got {n_bar}")
+        values.append((1.0 / (1.0 + bt + n_bar * damping)) * _chi(bt, n_bar * decay))
+    return values
 
 
 @dataclass(frozen=True)
@@ -155,7 +180,10 @@ class OptimalSignalResult:
     """Stationary point of Theta over the input signal strength.
 
     When no interior maximum exists in the searched range,
-    `interior_optimum` is False and the numeric fields are NaN.
+    `interior_optimum` is False and the numeric fields are NaN. At an interior
+    optimum `criterion_residual` is NaN when the paper's printed criterion is
+    not a finite double there (its terms grow like e^{gamma t}, so past
+    gamma t of about 700); the optimum itself is still exact.
     """
 
     n_bar_opt: float
@@ -187,7 +215,7 @@ def criterion_residual(n_bar: float, params: ChannelParams, t: float) -> float:
     bt = beta_t(params, t)
     b = bt + n_bar * math.exp(-params.gamma * t)
     try:
-        a = (math.exp(0.5 * params.gamma * t) - 1.0) ** 2
+        a = math.expm1(0.5 * params.gamma * t) ** 2
         lhs = a * (1.0 + bt) * math.log1p(bt) / _LN2 - a * _xlog2(bt)
         rhs = (a * bt - (1.0 + bt)) * math.log(b) / _LN2 - (a - 1.0) * (
             1.0 + bt
@@ -265,9 +293,9 @@ def optimal_nbar(
     So there is no interior maximum exactly when s >= 0 at search_max
     (flagged, not raised), and otherwise one bracketed root of s on
     (0+, search_max] locates it. The paper's printed-criterion residual and a
-    two-sided second-order check are evaluated at the result; the residual
-    raises InvalidParameterError where it outgrows a double (an optimum at
-    gamma t near 700 or beyond).
+    two-sided second-order check are evaluated at the result; where the
+    residual outgrows a double (an optimum at gamma t near 700 or beyond) it
+    is reported as NaN and the optimum is still returned.
     """
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
@@ -276,9 +304,8 @@ def optimal_nbar(
     if not math.isfinite(search_max) or search_max <= 0.0:
         raise InvalidParameterError(f"search_max must be finite and > 0, got {search_max}")
 
-    bt = beta_t(params, t)
-    decay = math.exp(-params.gamma * t)
-    slope_args = (bt, decay, math.expm1(-0.5 * params.gamma * t) ** 2)
+    slope_args = _channel_terms(params, t)
+    bt, decay, _ = slope_args
     log_max = math.log(search_max)
     # Nothing reaching the output (beta(t) = 0 and the signal decayed below
     # the smallest double) leaves Theta = 0 throughout.
@@ -302,9 +329,13 @@ def optimal_nbar(
         theta_at_nbar(params, t, n_opt + delta) <= theta_opt
         and theta_at_nbar(params, t, n_opt - delta) <= theta_opt
     )
+    try:
+        residual = criterion_residual(n_opt, params, t)
+    except InvalidParameterError:  # the printed criterion is beyond a double here
+        residual = math.nan
     return OptimalSignalResult(
         n_bar_opt=n_opt,
         theta_at_opt=theta_opt,
-        criterion_residual=criterion_residual(n_opt, params, t),
+        criterion_residual=residual,
         second_order_ok=second_order_ok,
     )

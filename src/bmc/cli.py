@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, capacity, fock, lindblad
-from .capacity import DEFAULT_SEARCH_MAX, capacity_point, theta_at_nbar
+from .capacity import DEFAULT_SEARCH_MAX, capacity_point, theta_curve
 from .errors import (
     ConfigError,
     InvalidDimensionError,
@@ -308,8 +308,8 @@ def write_theta_curve(
     grid = np.geomspace(1e-2, search_max, points)
     with open(out_path, "w", newline="\n") as fh:
         fh.write("n_bar,theta\n")
-        for n in grid:
-            fh.write(f"{n:.12e},{theta_at_nbar(params, t, float(n)):.12e}\n")
+        for n, value in zip(grid, theta_curve(params, t, grid)):
+            fh.write(f"{n:.12e},{value:.12e}\n")
     return out_path
 
 

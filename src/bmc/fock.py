@@ -1,20 +1,19 @@
 """Truncated Fock-space linear algebra for a single bosonic mode.
 
 Everything lives on the space spanned by the number states |0>..|dim-1>.
-The module provides the ladder operators, the canonical states (number,
-coherent, thermal, displaced), the base-2 von Neumann entropy, and the
-state-comparison metrics used by the integrator and the test suites.
+The module provides the canonical states (number, coherent, thermal,
+displaced) and the displacement operator, the base-2 von Neumann entropy,
+and the state-comparison metrics used by the integrator and the test suites.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DimensionMismatchError,
@@ -62,6 +61,21 @@ class DensityMatrix:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues in ascending order, computed once per state; read-only.
+
+        An exactly diagonal matrix (thermal and mixed states) skips the
+        solver. `validate` and `von_neumann_entropy` both read this.
+        """
+        diagonal = np.diagonal(self.entries)
+        if np.count_nonzero(self.entries) == np.count_nonzero(diagonal):
+            evals = np.sort(diagonal.real)
+        else:
+            evals = np.linalg.eigvalsh(self.entries)
+        evals.setflags(write=False)
+        return evals
+
     def validate(
         self,
         *,
@@ -80,7 +94,7 @@ class DensityMatrix:
             raise NotAStateError(
                 f"trace deviates from 1 by {trace_dev:.3e} > {trace_tol:.1e}"
             )
-        min_eig = _min_eigenvalue(self.entries)
+        min_eig = float(self.spectrum[0])
         if not min_eig >= -psd_tol:
             raise NotAStateError(
                 f"not positive semidefinite: min eigenvalue {min_eig:.3e} < -{psd_tol:.1e}"
@@ -116,39 +130,10 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _min_eigenvalue(mat: np.ndarray) -> float:
-    # Exactly diagonal matrices (thermal and mixed states) skip the solver.
-    if np.count_nonzero(mat - np.diag(np.diagonal(mat))) == 0:
-        return float(np.min(np.diagonal(mat).real))
-    return float(np.linalg.eigvalsh(mat)[0])
-
-
 def _check_dim(dim) -> int:
     if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 2:
         raise InvalidDimensionError(f"truncation dimension must be an integer >= 2, got {dim!r}")
     return int(dim)
-
-
-_LADDER_LOCK = threading.Lock()
-_LADDER_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def ladder_operators(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Annihilation and creation matrices with <n-1|a|n> = sqrt(n).
-
-    Cached per dimension; the returned arrays are read-only and shared.
-    """
-    dim = _check_dim(dim)
-    with _LADDER_LOCK:
-        cached = _LADDER_CACHE.get(dim)
-        if cached is None:
-            a = np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
-            adag = a.conj().T.copy()
-            a.setflags(write=False)
-            adag.setflags(write=False)
-            cached = (a, adag)
-            _LADDER_CACHE[dim] = cached
-    return cached
 
 
 def number_state(n: int, dim: int) -> StateVector:
@@ -199,12 +184,31 @@ def coherent_state(eta: complex, dim: int) -> StateVector:
     return StateVector(amps, truncation_loss=loss)
 
 
-def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
-    """Displacement matrix exp(alpha a+ - alpha* a).
+# Bounded because one basis holds dim^2 doubles (1.3 MB at dim = 400); a
+# quadrature over a few dozen nodes needs one dimension per node.
+@functools.lru_cache(maxsize=128)
+def _hermite_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (lambda, V) of the real tridiagonal S with off-diagonals
+    sqrt(1)..sqrt(dim-1), the truncated sqrt(2) x; read-only and shared.
 
-    Computed by scaling-and-squaring matrix exponential of the truncated
-    generator; exactly unitary on the truncated space because the generator
-    stays anti-Hermitian after truncation.
+    Its eigenvalues are sqrt(2) times the roots of the Hermite polynomial
+    H_dim (Golub & Welsch, Math. Comp. 23, 221 (1969)).
+    """
+    off = np.sqrt(np.arange(1, dim))
+    evals, evecs = np.linalg.eigh(np.diag(off, k=1) + np.diag(off, k=-1))
+    evals.setflags(write=False)
+    evecs.setflags(write=False)
+    return evals, evecs
+
+
+def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
+    """Displacement matrix exp(alpha a+ - alpha* a) on the truncated space.
+
+    With alpha = r e^{i phi} the generator is i r Q S Q+, where
+    Q = diag((-i e^{i phi})^n) and S is the truncated sqrt(2) x, so the
+    exponential is Q V diag(e^{i r lambda}) V^T Q+ from the cached
+    eigenbasis of S. It is exact and unitary on the truncated space, the
+    same matrix a matrix exponential of the truncated generator gives.
     """
     dim = _check_dim(dim)
     alpha = complex(alpha)
@@ -217,8 +221,10 @@ def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
             TruncationWarning,
             stacklevel=2,
         )
-    a, adag = ladder_operators(dim)
-    return expm(alpha * adag - alpha.conjugate() * a)
+    evals, evecs = _hermite_eigenbasis(dim)
+    r = abs(alpha)
+    basis = evecs * ((-1j * alpha / r) ** np.arange(dim))[:, None]
+    return (basis * np.exp(1j * r * evals)) @ basis.conj().T
 
 
 def projector(state: StateVector) -> DensityMatrix:
@@ -253,7 +259,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     Eigenvalues below the clipping floor are treated as exact zeros; an
     eigenvalue below -POSITIVITY_TOL means the input is not a state.
     """
-    evals = np.linalg.eigvalsh(rho.entries)
+    evals = rho.spectrum
     if float(evals[0]) < -POSITIVITY_TOL:
         raise NotAStateError(
             f"entropy of a non-positive matrix (min eigenvalue {evals[0]:.3e})"

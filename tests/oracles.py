@@ -5,12 +5,14 @@ averages are rebuilt from per-input output states by quadrature or sampling,
 and entropies by direct summation over distributions.
 """
 
+import functools
 import math
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
+from scipy.linalg import expm
 
-from bmc import DensityMatrix, InvalidParameterError, analytic, fock
+from bmc import DensityMatrix, InvalidDimensionError, InvalidParameterError, analytic, fock
 
 
 def gauss_laguerre_ensemble_average(params, t, n_nodes=64, weight_cutoff=1e-16):
@@ -96,13 +98,36 @@ def thermal_entropy_by_summation(n_th, n_terms=4000):
     return float(-np.sum(p * np.log2(p)))
 
 
+@functools.lru_cache(maxsize=None)
+def ladder_operators(dim):
+    """Annihilation and creation matrices with <n-1|a|n> = sqrt(n).
+
+    Cached per dimension; the returned arrays are read-only and shared.
+    """
+    if not isinstance(dim, int) or dim < 2:
+        raise InvalidDimensionError(f"truncation dimension must be an integer >= 2, got {dim!r}")
+    a = np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
+    adag = a.conj().T.copy()
+    a.setflags(write=False)
+    adag.setflags(write=False)
+    return a, adag
+
+
+def expm_displacement(alpha, dim):
+    """exp(alpha a^dag - alpha* a) by scaling-and-squaring of the truncated
+    generator. Reference for the eigenbasis form in `bmc.fock`."""
+    a, adag = ladder_operators(dim)
+    alpha = complex(alpha)
+    return expm(alpha * adag - alpha.conjugate() * a)
+
+
 def dense_lindblad_rhs(rho, params):
     """Master-equation right-hand side as dense products of the truncated
     ladder matrices: A rho + rho A plus the four sandwich terms, with the
     Hermitian drift A = -gamma/2 ((N+1) a^dag a + N a a^dag + M a^dag^2 + M* a^2).
     Reference for the shifted-slice generator in `bmc.lindblad`."""
     rho = np.asarray(rho, dtype=complex)
-    a, adag = fock.ladder_operators(rho.shape[0])
+    a, adag = ladder_operators(rho.shape[0])
     gamma = params.gamma
     n_res = params.reservoir_photons
     m = params.m_squeeze

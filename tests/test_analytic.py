@@ -25,7 +25,11 @@ from bmc import (
     von_neumann_entropy,
 )
 from bmc import analytic, fock
-from oracles import gauss_laguerre_ensemble_average, monte_carlo_ensemble_average
+from oracles import (
+    expm_displacement,
+    gauss_laguerre_ensemble_average,
+    monte_carlo_ensemble_average,
+)
 
 REF = ChannelParams(gamma=0.1, beta_rate=0.01, n_bar=5.0)
 
@@ -149,6 +153,34 @@ class TestToDensityMatrix:
         state = GaussianChannelState(3.0, 0.5)
         with pytest.warns(TruncationWarning):
             to_density_matrix(state, 12)
+
+    @staticmethod
+    def _expm_sandwich(state, dim):
+        # D thermal D+ with D from the matrix exponential, renormalized
+        shift = expm_displacement(state.displacement, dim)
+        mat = shift @ fock.thermal_state(state.thermal_photons, dim).entries @ shift.conj().T
+        return fock.DensityMatrix(mat / mat.trace().real)
+
+    def test_matches_expm_sandwich_on_validate_grid(self):
+        # `bmc validate` defaults: reference channel, dim 50
+        params = ChannelParams(gamma=0.1, beta_rate=0.01)
+        for eta in (0.0, 0.5, 1.0, 1 + 1j):
+            for t in (0.1, 0.5, 1.0, 5.0, 20.0):
+                state = evolve_coherent_analytic(eta, params, t)
+                dist = trace_distance(to_density_matrix(state, 50), self._expm_sandwich(state, 50))
+                assert dist <= 1e-12, (eta, t, dist)
+
+    def test_matches_expm_sandwich_on_quadrature_nodes(self):
+        # 16 Gauss-Laguerre radial nodes with random phases, n_bar in [1, 2]
+        rng = np.random.default_rng(5)
+        nodes, _ = np.polynomial.laguerre.laggauss(16)
+        for n_bar in (1.0, 1.5, 2.0):
+            for u in nodes:
+                eta = math.sqrt(n_bar * u) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                state = evolve_coherent_analytic(eta, REF, 1.0)
+                dim = analytic.suggested_dim(state)
+                dist = trace_distance(to_density_matrix(state, dim), self._expm_sandwich(state, dim))
+                assert dist <= 1e-12, (n_bar, u, dist)
 
     def test_negative_thermal_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -228,6 +228,21 @@ class TestFidelity:
         fbars = [average_fidelity(replace(REF, n_bar=float(n)), 1.0) for n in range(11)]
         assert all(b < a for a, b in zip(fbars, fbars[1:]))
 
+    @pytest.mark.parametrize("beta_rate", [0.0, 0.5])
+    @pytest.mark.parametrize("gamma_t", [1e-9, 1e-6, 1e-4, 1e-2, 1.0])
+    def test_small_decay_matches_mpmath(self, gamma_t, beta_rate):
+        # a' = (e^{-gamma t / 2} - 1)^2 cancels at small gamma t unless
+        # formed with expm1; a large signal makes a' n_bar of order one
+        params = ChannelParams(gamma=1.0, beta_rate=beta_rate, n_bar=1e12)
+        eta = 2.0 / gamma_t
+        with mpmath.workdps(50):
+            damping = mpmath.expm1(-mpmath.mpf(gamma_t) / 2) ** 2
+            b = 1 + beta_rate * -mpmath.expm1(-mpmath.mpf(gamma_t))
+            exact_fbar = 1 / (b + mpmath.mpf(1e12) * damping)
+            exact_f = mpmath.exp(-damping * mpmath.mpf(eta) ** 2 / b) / b
+        assert abs(average_fidelity(params, gamma_t) - exact_fbar) <= 1e-14 * exact_fbar
+        assert abs(fidelity_analytic(eta, params, gamma_t) - exact_f) <= 1e-14 * exact_f
+
 
 class TestTheta:
     def test_zero_signal_gives_zero(self):
@@ -364,12 +379,7 @@ class TestOptimalSignal:
         # tolerance cannot be told from one at search_max
         params = ChannelParams(gamma=gamma, beta_rate=beta)
         t = gamma_t / gamma
-        try:
-            result = optimal_nbar(params, t, search_max)
-        except InvalidParameterError as exc:
-            # the printed criterion's residual, ~e^{gamma t}, outgrows a double
-            assert "criterion residual" in str(exc) and gamma_t > 650.0
-            return
+        result = optimal_nbar(params, t, search_max)
         n = result.n_bar_opt if result.interior_optimum else search_max
         assert 0.0 < n <= search_max
         theta_n, slope = mp_theta_slope(params, t, n)
@@ -410,6 +420,21 @@ class TestOptimalSignal:
         assert result.criterion_residual == pytest.approx(
             2.0 * a * g_entropy(beta_t(REF, 1.0)), abs=1e-9
         )
+
+
+    def test_optimum_kept_where_printed_residual_overflows(self):
+        # the printed criterion grows like e^{gamma t}; the optimum does not
+        params = ChannelParams(gamma=0.001, beta_rate=25.0)
+        t = 697000.0
+        result = optimal_nbar(params, t, 1e200)
+        assert result.interior_optimum and result.second_order_ok
+        assert math.isnan(result.criterion_residual)
+        assert result.n_bar_opt == pytest.approx(7.945e155, rel=1e-3)
+        theta_n, slope = mp_theta_slope(params, t, result.n_bar_opt)
+        assert result.theta_at_opt == pytest.approx(float(theta_n), rel=1e-12)
+        assert abs(slope) * result.n_bar_opt <= 1e-9 * theta_n
+        with pytest.raises(InvalidParameterError, match="finite"):
+            criterion_residual(result.n_bar_opt, params, t)
 
 
 class TestCriterionResidual:

@@ -3,6 +3,7 @@ import shlex
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bmc import (
@@ -326,6 +327,18 @@ class TestOptimal:
         above = min(r for r in rows if r[0] > n_opt)
         assert theta_opt >= below[1]
         assert theta_opt >= above[1]
+
+    def test_curve_matches_golden(self, tmp_path):
+        # byte for byte, and point for point the theta_at_nbar value
+        out = tmp_path / "theta.csv"
+        assert cli.main(["optimal", "--t", "1", "--curve", "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / "theta_t1.csv").read_bytes()
+        params = ChannelParams(gamma=0.1, beta_rate=0.01, n_bar=5.0)
+        pointwise = "".join(
+            f"{n:.12e},{theta_at_nbar(params, 1.0, float(n)):.12e}\n"
+            for n in np.geomspace(1e-2, 1000.0, 200)
+        )
+        assert out.read_text() == "n_bar,theta\n" + pointwise
 
     def test_curve_without_out_is_usage_error(self):
         assert cli.main(["optimal", "--t", "1", "--curve"]) == EXIT_USAGE

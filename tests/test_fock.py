@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bmc
 from bmc import (
     DensityMatrix,
     DimensionMismatchError,
@@ -17,7 +23,6 @@ from bmc import (
     fidelity_with_coherent,
     field_amplitude,
     g_entropy,
-    ladder_operators,
     mean_photon_number,
     number_state,
     projector,
@@ -27,7 +32,8 @@ from bmc import (
     trace_distance,
     von_neumann_entropy,
 )
-from oracles import thermal_entropy_by_summation
+from bmc import fock
+from oracles import expm_displacement, ladder_operators, thermal_entropy_by_summation
 
 
 class TestLadderOperators:
@@ -59,24 +65,6 @@ class TestLadderOperators:
         a2, _ = ladder_operators(7)
         assert a1 is a2
         assert not a1.flags.writeable
-
-    def test_concurrent_access_builds_once(self):
-        import threading
-
-        dim = 97  # not used elsewhere in the suite
-        results = [None] * 16
-        barrier = threading.Barrier(len(results))
-
-        def fetch(i):
-            barrier.wait()
-            results[i] = ladder_operators(dim)[0]
-
-        threads = [threading.Thread(target=fetch, args=(i,)) for i in range(len(results))]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        assert all(r is results[0] for r in results)
 
 
 class TestCoherentState:
@@ -140,6 +128,62 @@ class TestDisplacementOperator:
         dim = 30
         d = displacement_operator(0.9 + 0.2j, dim)
         assert np.max(np.abs(d @ d.conj().T - np.eye(dim))) < 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 20, 100, 274, 400])
+    def test_matches_matrix_exponential(self, dim):
+        # the eigenbasis form is the same truncated unitary expm computes;
+        # the moduli keep the truncation loss below the warning level
+        radius = 0.9 if dim == 2 else 0.25 * math.sqrt(dim)
+        moduli = (radius, 0.3 * radius) if dim <= 100 else (radius,)  # expm is slow at large d
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for phase in (0.0, 0.5 * math.pi, 2.9, -2.2):
+                for modulus in moduli:
+                    alpha = modulus * complex(math.cos(phase), math.sin(phase))
+                    err = np.max(np.abs(displacement_operator(alpha, dim) - expm_displacement(alpha, dim)))
+                    assert err <= 1e-12, (alpha, err)
+
+    def test_eigenbasis_is_hermite_roots(self):
+        # Golub-Welsch: the truncated sqrt(2) x has the roots of H_d as sqrt(2) x_k
+        for dim in (2, 9, 60):
+            evals, evecs = fock._hermite_eigenbasis(dim)
+            roots, _ = np.polynomial.hermite.hermgauss(dim)
+            assert np.max(np.abs(evals - math.sqrt(2.0) * np.sort(roots))) < 1e-12
+            assert np.max(np.abs(evecs.T @ evecs - np.eye(dim))) < 1e-12
+
+    def test_eigenbasis_cached_and_immutable(self):
+        first = fock._hermite_eigenbasis(7)
+        assert fock._hermite_eigenbasis(7) is first
+        assert not first[0].flags.writeable and not first[1].flags.writeable
+        # every call hands back its own matrix, built from the shared basis
+        alpha = 0.4 - 0.3j
+        displacement_operator(alpha, 7)[:] = 0.0
+        assert np.max(np.abs(displacement_operator(alpha, 7) - expm_displacement(alpha, 7))) < 1e-12
+
+    def test_concurrent_displacements_share_one_basis(self):
+        dim = 97
+        fock._hermite_eigenbasis.cache_clear()
+        results = [None] * 16
+        barrier = threading.Barrier(len(results))
+
+        def fetch(i):
+            barrier.wait()
+            results[i] = displacement_operator(0.8 + 0.1j * i, dim)
+
+        threads = [threading.Thread(target=fetch, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for i, mat in enumerate(results):
+            assert np.max(np.abs(mat - expm_displacement(0.8 + 0.1j * i, dim))) < 1e-12
+        assert fock._hermite_eigenbasis.cache_info().currsize == 1
 
 
 class TestThermalState:
@@ -286,6 +330,45 @@ class TestDensityMatrixType:
             projector(coherent_state(eta, 40)).validate()
 
 
+class TestSpectrum:
+    def test_validate_and_entropy_share_one_eigensolve(self, monkeypatch):
+        solve = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: calls.append(1) or solve(mat))
+        rho = projector(coherent_state(0.8 + 0.2j, 30))
+        rho.validate()
+        assert von_neumann_entropy(rho) < 1e-9
+        assert len(calls) == 1
+        assert rho.spectrum is rho.spectrum
+        assert not rho.spectrum.flags.writeable
+        assert np.array_equal(rho.spectrum, solve(rho.entries))
+
+    @pytest.mark.parametrize(
+        "diagonal",
+        [
+            np.diag(thermal_state(0.7, 40).entries),
+            np.array([0.5, 0.1, 0.4, 0.0]),
+            np.array([0.25, 1e-17, 0.75]) + 1e-3j,
+            np.array([1.001, -0.001]),
+        ],
+    )
+    def test_diagonal_fast_path_equals_eigvalsh(self, monkeypatch, diagonal):
+        solve = np.linalg.eigvalsh
+        mat = np.diag(diagonal)
+        expected = solve(mat)
+
+        def no_solver(_):
+            raise AssertionError("an exactly diagonal matrix reached the solver")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solver)
+        assert np.array_equal(DensityMatrix(mat).spectrum, expected)
+
+    def test_off_diagonal_entry_takes_the_solver(self):
+        mat = np.diag([0.5, 0.5]).astype(complex)
+        mat[0, 1] = mat[1, 0] = 0.5
+        assert np.allclose(DensityMatrix(mat).spectrum, [0.0, 1.0], atol=1e-15)
+
+
 class TestFieldAmplitude:
     def test_coherent_amplitude_recovered(self):
         eta = 0.6 + 0.4j
@@ -312,6 +395,13 @@ class TestTruncationHelpers:
             suggested_dim(-1.0, 0.0)
         with pytest.raises(InvalidParameterError):
             thermal_tail_dim(0.5, 2.0)
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; scipy is a test-only reference
+    env = dict(os.environ, PYTHONPATH=str(Path(bmc.__file__).resolve().parents[1]))
+    code = "import bmc, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_module_emits_no_warnings_for_adequate_dims():

@@ -18,7 +18,6 @@ from bmc import (
     evolve_coherent_analytic,
     evolve_trajectory,
     g_entropy,
-    ladder_operators,
     lindblad_rhs,
     mean_photon_number,
     number_state,
@@ -30,7 +29,7 @@ from bmc import (
 )
 from bmc import lindblad
 from bmc.fock import _coherent_amplitudes
-from oracles import dense_lindblad_rhs
+from oracles import dense_lindblad_rhs, ladder_operators
 
 REF = ChannelParams(gamma=0.1, beta_rate=0.01)
 
