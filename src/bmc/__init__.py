@@ -11,7 +11,6 @@ from .analytic import (
     beta_t,
     ensemble_average_state,
     evolve_coherent_analytic,
-    f_factor,
     to_density_matrix,
 )
 from .capacity import (
@@ -25,7 +24,6 @@ from .capacity import (
     g_entropy,
     optimal_nbar,
     theta,
-    theta_at_nbar,
 )
 from .errors import (
     ConfigError,
@@ -94,7 +92,6 @@ __all__ = [
     "evolve",
     "evolve_coherent_analytic",
     "evolve_trajectory",
-    "f_factor",
     "fidelity_analytic",
     "fidelity_with_coherent",
     "field_amplitude",
@@ -106,7 +103,6 @@ __all__ = [
     "projector",
     "suggested_dim",
     "theta",
-    "theta_at_nbar",
     "thermal_state",
     "thermal_tail_dim",
     "to_density_matrix",

@@ -13,8 +13,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParameterError, InvalidTimeError, TruncationWarning
 from . import fock
 from .fock import DensityMatrix
@@ -113,8 +111,4 @@ def to_density_matrix(state: GaussianChannelState, dim: int) -> DensityMatrix:
     thermal = fock.thermal_state(state.thermal_photons, dim)
     if state.displacement == 0:
         return thermal
-    shift = fock.displacement_operator(state.displacement, dim)
-    weights = np.diagonal(thermal.entries).real
-    mat = (shift * weights) @ shift.conj().T
-    mat /= mat.trace().real
-    return DensityMatrix(mat).validate()
+    return fock.displace_diagonal(state.displacement, thermal).validate()

@@ -8,10 +8,11 @@ and the state-comparison metrics used by the integrator and the test suites.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +32,10 @@ POSITIVITY_TOL = 1e-9
 # Coherent-state truncation losses above this level trigger a warning.
 COHERENT_LOSS_TOL = 1e-6
 
+# Populations below this fraction of the largest are left out of a displaced
+# diagonal state (see `displace_diagonal`).
+_NEGLIGIBLE_WEIGHT = np.finfo(float).eps ** 2
+
 # Eigenvalues at or below this level contribute nothing to the entropy.
 _ENTROPY_FLOOR = 1e-14
 
@@ -44,6 +49,9 @@ class DensityMatrix:
     """
 
     entries: np.ndarray
+    # Real symmetric R with entries = Q R Q+ for a diagonal unitary Q, when
+    # the state was built that way (see `_from_phased_real`); else None.
+    _real: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         mat = np.array(self.entries, dtype=complex)
@@ -53,6 +61,23 @@ class DensityMatrix:
             )
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
+
+    @classmethod
+    def _from_phased_real(cls, phases: np.ndarray, real: np.ndarray) -> "DensityMatrix":
+        """The matrix Q R Q+ with Q = diag(phases) unitary and R real.
+
+        `entries` is formed here from (phases, R), so the two cannot
+        disagree, and `spectrum` diagonalizes the read-only R, which has
+        the same eigenvalues because Q is unitary.
+        """
+        phases = np.asarray(phases, dtype=complex)
+        if not np.all(np.abs(np.abs(phases) - 1.0) <= 1e-12):
+            raise InvalidParameterError("phases of a diagonal unitary must have unit modulus")
+        real = np.array(real, dtype=float)
+        rho = cls(real * np.outer(phases, phases.conj()))
+        real.setflags(write=False)
+        object.__setattr__(rho, "_real", real)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -66,13 +91,15 @@ class DensityMatrix:
         """Eigenvalues in ascending order, computed once per state; read-only.
 
         An exactly diagonal matrix (thermal and mixed states) skips the
-        solver. `validate` and `von_neumann_entropy` both read this.
+        solver, and a state built from (phases, R) diagonalizes the real R.
+        `validate` and `von_neumann_entropy` both read this.
         """
-        diagonal = np.diagonal(self.entries)
-        if np.count_nonzero(self.entries) == np.count_nonzero(diagonal):
+        mat = self.entries if self._real is None else self._real
+        diagonal = np.diagonal(mat)
+        if np.count_nonzero(mat) == np.count_nonzero(diagonal):
             evals = np.sort(diagonal.real)
         else:
-            evals = np.linalg.eigvalsh(self.entries)
+            evals = np.linalg.eigvalsh(mat)
         evals.setflags(write=False)
         return evals
 
@@ -146,23 +173,40 @@ def number_state(n: int, dim: int) -> StateVector:
     return StateVector(vec)
 
 
-def _coherent_amplitudes(eta: complex, dim: int) -> tuple[np.ndarray, float]:
-    # Stable recurrence c_n = c_{n-1} * eta / sqrt(n) starting from the
-    # vacuum overlap, instead of eta**n / sqrt(n!) which overflows early.
+def _check_amplitude(eta) -> complex:
     eta = complex(eta)
     if not (math.isfinite(eta.real) and math.isfinite(eta.imag)):
         raise InvalidParameterError(f"coherent amplitude must be finite, got {eta}")
+    return eta
+
+
+def _lost_weight(eta: complex, dim: int) -> float:
+    # One minus the Poisson mass e^{-x} x^n / n! (x = |eta|^2) of the kept
+    # levels, as one running product; splitting e^{-x} into two halves keeps
+    # the partial products finite up to x ~ 1400, where the amplitudes'
+    # own e^{-x/2} underflows.
+    x = abs(eta) ** 2
+    half = math.exp(-0.5 * x)
+    steps = np.empty(dim)
+    steps[0] = half
+    steps[1:] = x / np.arange(1, dim)
+    return max(0.0, 1.0 - half * float(np.sum(np.cumprod(steps))))
+
+
+def _coherent_amplitudes(eta: complex, dim: int) -> tuple[np.ndarray, float]:
+    # Stable recurrence c_n = c_{n-1} * eta / sqrt(n) starting from the
+    # vacuum overlap, instead of eta**n / sqrt(n!) which overflows early.
+    eta = _check_amplitude(eta)
     c = np.empty(dim, dtype=complex)
     c[0] = math.exp(-0.5 * abs(eta) ** 2)
     for n in range(1, dim):
         c[n] = c[n - 1] * eta / math.sqrt(n)
-    loss = max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
-    return c, loss
+    return c, _lost_weight(eta, dim)
 
 
 def coherent_truncation_loss(eta: complex, dim: int) -> float:
     """Probability weight of |eta> lost beyond the first `dim` levels."""
-    return _coherent_amplitudes(complex(eta), _check_dim(dim))[1]
+    return _lost_weight(_check_amplitude(eta), _check_dim(dim))
 
 
 def coherent_state(eta: complex, dim: int) -> StateVector:
@@ -184,47 +228,110 @@ def coherent_state(eta: complex, dim: int) -> StateVector:
     return StateVector(amps, truncation_loss=loss)
 
 
-# Bounded because one basis holds dim^2 doubles (1.3 MB at dim = 400); a
-# quadrature over a few dozen nodes needs one dimension per node.
+# Bounded because one basis holds about dim^2 / 2 doubles (0.64 MB at
+# dim = 400); a quadrature over a few dozen nodes needs one dimension per node.
 @functools.lru_cache(maxsize=128)
-def _hermite_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (lambda, V) of the real tridiagonal S with off-diagonals
-    sqrt(1)..sqrt(dim-1), the truncated sqrt(2) x; read-only and shared.
+def _parity_basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD (U, sigma, W) of the odd<-even block B of the real generator
+    a+ - a on `dim` levels; read-only and shared.
 
-    Its eigenvalues are sqrt(2) times the roots of the Hermite polynomial
-    H_dim (Golub & Welsch, Math. Comp. 23, 221 (1969)).
+    B is bidiagonal, B[j, j] = sqrt(2j+1) and B[j, j+1] = -sqrt(2j+2), and
+    B = U diag(sigma) W^T with U square of order dim // 2 and W square of
+    order dim - dim // 2. sigma holds the positive eigenvalues of the
+    truncated sqrt(2) x, which are sqrt(2) times the positive roots of the
+    Hermite polynomial H_dim (Golub & Welsch, Math. Comp. 23, 221 (1969)).
     """
-    off = np.sqrt(np.arange(1, dim))
-    evals, evecs = np.linalg.eigh(np.diag(off, k=1) + np.diag(off, k=-1))
-    evals.setflags(write=False)
-    evecs.setflags(write=False)
-    return evals, evecs
+    odd = dim // 2
+    block = np.zeros((odd, dim - odd))
+    j = np.arange(odd)
+    block[j, j] = np.sqrt(2.0 * j + 1.0)
+    upper = j[: (dim - 1) // 2]
+    block[upper, upper + 1] = -np.sqrt(2.0 * upper + 2.0)
+    left, sigma, right_t = np.linalg.svd(block)
+    right = right_t.T
+    for arr in (left, sigma, right):
+        arr.setflags(write=False)
+    return left, sigma, right
 
 
-def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
-    """Displacement matrix exp(alpha a+ - alpha* a) on the truncated space.
+def _real_displacement(r: float, dim: int) -> np.ndarray:
+    """O(r) = exp(r (a+ - a)) on the truncated space: real orthogonal.
 
-    With alpha = r e^{i phi} the generator is i r Q S Q+, where
-    Q = diag((-i e^{i phi})^n) and S is the truncated sqrt(2) x, so the
-    exponential is Q V diag(e^{i r lambda}) V^T Q+ from the cached
-    eigenbasis of S. It is exact and unitary on the truncated space, the
-    same matrix a matrix exponential of the truncated generator gives.
+    The generator only links even and odd levels, so O splits into parity
+    blocks from the SVD of its odd<-even block B: W cos(r sigma) W^T on the
+    even levels (cos padded with a 1 when dim is odd), U cos(r sigma) U^T on
+    the odd ones, L = U sin(r sigma) W[:, :dim // 2]^T (odd rows, even
+    columns) and -L^T.
     """
-    dim = _check_dim(dim)
-    alpha = complex(alpha)
-    if alpha == 0:
-        return np.eye(dim, dtype=complex)
+    left, sigma, right = _parity_basis(dim)
+    odd = dim // 2
+    cos = np.cos(r * sigma)
+    lower = (left * np.sin(r * sigma)) @ right[:, :odd].T
+    out = np.empty((dim, dim))
+    out[0::2, 0::2] = (right * np.append(cos, np.ones(dim - 2 * odd))) @ right.T
+    out[1::2, 1::2] = (left * cos) @ left.T
+    out[1::2, 0::2] = lower
+    out[0::2, 1::2] = -lower.T
+    return out
+
+
+def _displacement_phases(alpha: complex, dim: int) -> np.ndarray:
+    """Diagonal of Q' = diag(e^{i phi n}) for alpha = r e^{i phi}."""
+    return np.exp(1j * cmath.phase(alpha) * np.arange(dim))
+
+
+def _warn_if_truncated(alpha: complex, dim: int) -> None:
     loss = coherent_truncation_loss(alpha, dim)
     if loss > COHERENT_LOSS_TOL:
         warnings.warn(
             f"displacement by {alpha} is truncated (loss {loss:.3e}) at dim={dim}",
             TruncationWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    evals, evecs = _hermite_eigenbasis(dim)
-    r = abs(alpha)
-    basis = evecs * ((-1j * alpha / r) ** np.arange(dim))[:, None]
-    return (basis * np.exp(1j * r * evals)) @ basis.conj().T
+
+
+def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
+    """Displacement matrix exp(alpha a+ - alpha* a) on the truncated space.
+
+    With alpha = r e^{i phi} the generator is r Q' (a+ - a) Q'+ with
+    Q' = diag(e^{i phi n}), so the matrix is Q' O(r) Q'+ with the real
+    orthogonal O(r) = exp(r (a+ - a)) built in parity blocks. It is exact
+    and unitary on the truncated space, the same matrix a matrix
+    exponential of the truncated generator gives.
+    """
+    dim = _check_dim(dim)
+    alpha = complex(alpha)
+    if alpha == 0:
+        return np.eye(dim, dtype=complex)
+    _warn_if_truncated(alpha, dim)
+    phases = _displacement_phases(alpha, dim)
+    return _real_displacement(abs(alpha), dim) * np.outer(phases, phases.conj())
+
+
+def displace_diagonal(alpha: complex, rho: DensityMatrix) -> DensityMatrix:
+    """D(alpha) rho D+(alpha) for a diagonal rho, renormalized to unit trace.
+
+    A diagonal rho commutes with Q', so the state is Q' R Q'+ with the real
+    symmetric R = O(r) diag(rho) O(r)^T. It is built and, through
+    `DensityMatrix.spectrum`, diagonalized in real arithmetic. The result is
+    not validated; alpha = 0 returns rho itself.
+    """
+    populations = np.diagonal(rho.entries)
+    if np.count_nonzero(rho.entries) != np.count_nonzero(populations):
+        raise InvalidParameterError("displace_diagonal needs a diagonal density matrix")
+    alpha = complex(alpha)
+    if alpha == 0:
+        return rho
+    _warn_if_truncated(alpha, rho.dim)
+    weights = populations.real
+    # Levels below eps^2 of the largest weight move no entry or eigenvalue
+    # beyond rounding; leaving them out also keeps subnormal products, and
+    # their slow arithmetic, out of the matrix product.
+    kept = weights > _NEGLIGIBLE_WEIGHT * weights.max()
+    columns = _real_displacement(abs(alpha), rho.dim)[:, kept]
+    real = (columns * weights[kept]) @ columns.T
+    real /= np.trace(real)
+    return DensityMatrix._from_phased_real(_displacement_phases(alpha, rho.dim), real)
 
 
 def projector(state: StateVector) -> DensityMatrix:

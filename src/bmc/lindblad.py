@@ -20,10 +20,14 @@ from .errors import (
     StiffnessError,
     TruncationError,
 )
-from .fock import DensityMatrix
+from .fock import DensityMatrix, mean_photon_number, suggested_dim, thermal_tail_dim
 
 # Trace drift beyond this level means the representation lost physical weight.
 TRACE_DRIFT_LIMIT = 1e-6
+# Right-hand-side evaluations one `evolve_trajectory` may spend: ten times
+# the most any test or benchmark run needs (4000). Past it the step size is
+# stability-limited and the run would take minutes, so StiffnessError ends it.
+MAX_RHS_EVALS = 40_000
 # The truncated generator conserves trace, so heating past the cutoff shows
 # only as population piling up in the top level; beyond this it is too much.
 CUTOFF_POPULATION_LIMIT = 1e-10
@@ -182,12 +186,23 @@ def _check_trace(y: np.ndarray, t: float) -> None:
         )
 
 
-def _check_cutoff(y: np.ndarray, t: float) -> None:
+def _check_cutoff(
+    y: np.ndarray, t: float, t_end: float, rho0: DensityMatrix, params: ChannelParams
+) -> None:
     top = y[-1, -1].real
     if not top <= CUTOFF_POPULATION_LIMIT:
+        # <n>_s = <n>_0 e^{-gamma s} + N (1 - e^{-gamma s}) exactly, for every M;
+        # it is monotone in s, so its largest value on [t, t_end] is at an end.
+        n0, n_res = mean_photon_number(rho0), params.reservoir_photons
+        mean = max(
+            n0 * math.exp(-params.gamma * s) - n_res * math.expm1(-params.gamma * s)
+            for s in (t, t_end)
+        )
+        needed = max(suggested_dim(mean, mean * (mean + 1.0)), thermal_tail_dim(mean))
         raise TruncationError(
             f"population {top:.3e} in the top Fock level {y.shape[0] - 1} "
-            f"at t={t:.6g}; the truncation dimension is insufficient for this evolution"
+            f"at t={t:.6g}; the truncation dimension is insufficient for this evolution "
+            f"to t={t_end:.6g}; suggest dim >= {needed}"
         )
 
 
@@ -195,7 +210,7 @@ def _hermitize(y: np.ndarray) -> np.ndarray:
     return 0.5 * (y + y.conj().T)
 
 
-def _integrate_rk45(f, y, t0, t1, opts):
+def _integrate_rk45(f, y, t0, t1, opts, check=_check_trace):
     span = t1 - t0
     rel_tol, abs_tol = opts.rel_tol, opts.abs_tol
     k1 = f(y)
@@ -227,7 +242,7 @@ def _integrate_rk45(f, y, t0, t1, opts):
         if math.isfinite(ratio) and ratio <= 1.0:
             t = t1 if final else t + h_try
             y = _hermitize(y_new)
-            _check_trace(y, t)
+            check(y, t)
             k1 = k7  # first-same-as-last reuse
             factor = _MAX_FACTOR if ratio == 0.0 else _SAFETY * ratio ** -0.2
         else:
@@ -237,7 +252,7 @@ def _integrate_rk45(f, y, t0, t1, opts):
     return y
 
 
-def _integrate_rk4(f, y, t0, t1, opts):
+def _integrate_rk4(f, y, t0, t1, opts, check=_check_trace):
     span = t1 - t0
     n_steps = max(1, math.ceil(span / opts.max_step))
     h = span / n_steps
@@ -249,7 +264,7 @@ def _integrate_rk4(f, y, t0, t1, opts):
         k4 = f(y + h * k3)
         y = _hermitize(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         t += h
-        _check_trace(y, t)
+        check(y, t)
     return y
 
 
@@ -262,9 +277,11 @@ def evolve_trajectory(
     """Propagate rho0 and return the state at each requested time.
 
     `times` must be finite, nonnegative and nondecreasing; a single
-    integration covers all of them. Every returned state is checked against
-    the trajectory invariants (trace, Hermiticity, positivity) and, when the
-    reservoir feeds photons, against population building up at the cutoff.
+    integration covers all of them. Every accepted step is checked for trace
+    drift and, when the reservoir feeds photons, for population building up
+    at the cutoff; every returned state against the invariant triple. A run
+    that needs more than MAX_RHS_EVALS right-hand-side evaluations raises
+    StiffnessError.
     """
     opts = opts if opts is not None else IntegratorOptions()
     times = [float(t) for t in times]
@@ -282,8 +299,27 @@ def evolve_trajectory(
     y = np.array(rho0.entries, dtype=complex)
     _check_trace(y, 0.0)
 
-    f = _generator(rho0.dim, params)
+    rhs = _generator(rho0.dim, params)
     feeds_photons = params.beta_rate > 0.0 or params.m_squeeze != 0
+    evals = 0
+    t_goal = 0.0
+
+    def f(rho: np.ndarray) -> np.ndarray:
+        nonlocal evals
+        evals += 1
+        if evals > MAX_RHS_EVALS:
+            raise StiffnessError(
+                f"gave up after {MAX_RHS_EVALS} right-hand-side evaluations short of "
+                f"t={t_goal:.6g} (gamma={params.gamma:.6g}, dim={rho0.dim}); stability "
+                "holds the step size down, the problem is too stiff for this integrator"
+            )
+        return rhs(rho)
+
+    def check(y: np.ndarray, t: float) -> None:
+        _check_trace(y, t)
+        if feeds_photons:
+            _check_cutoff(y, t, times[-1], rho0, params)
+
     stepper = _integrate_rk45 if opts.method == "rk45" else _integrate_rk4
     out: list[tuple[float, DensityMatrix]] = []
     t_now = 0.0
@@ -292,10 +328,9 @@ def evolve_trajectory(
             out.append((0.0, rho0))
             continue
         if t > t_now:
-            y = stepper(f, y, t_now, t, opts)
+            t_goal = t
+            y = stepper(f, y, t_now, t, opts, check)
             t_now = t
-        if feeds_photons:
-            _check_cutoff(y, t)
         state = DensityMatrix(y.copy()).validate(
             herm_tol=_EVOLVE_HERM_TOL,
             trace_tol=_EVOLVE_TRACE_TOL,

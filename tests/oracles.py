@@ -121,6 +121,24 @@ def expm_displacement(alpha, dim):
     return expm(alpha * adag - alpha.conjugate() * a)
 
 
+def complex_sandwich_state(state, dim):
+    """D(alpha) thermal D(alpha)^dag in complex arithmetic, renormalized.
+
+    D = Q V diag(e^{i r lambda}) V^T Q^dag with (lambda, V) the eigenpairs of
+    the truncated sqrt(2) x (off-diagonals sqrt(1)..sqrt(dim-1)) and
+    Q = diag((-i e^{i phi})^n) for alpha = r e^{i phi}; the state is the one
+    product (D w) D^dag from the thermal weights w. Reference for the real
+    parity-block build behind `bmc.analytic.to_density_matrix`."""
+    alpha = complex(state.displacement)
+    off = np.sqrt(np.arange(1, dim))
+    evals, evecs = np.linalg.eigh(np.diag(off, k=1) + np.diag(off, k=-1))
+    basis = evecs * ((-1j * alpha / abs(alpha)) ** np.arange(dim))[:, None]
+    shift = (basis * np.exp(1j * abs(alpha) * evals)) @ basis.conj().T
+    weights = np.diagonal(fock.thermal_state(state.thermal_photons, dim).entries).real
+    mat = (shift * weights) @ shift.conj().T
+    return DensityMatrix(mat / mat.trace().real)
+
+
 def dense_lindblad_rhs(rho, params):
     """Master-equation right-hand side as dense products of the truncated
     ladder matrices: A rho + rho A plus the four sandwich terms, with the

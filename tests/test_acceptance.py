@@ -24,12 +24,12 @@ from bmc import (
     g_entropy,
     optimal_nbar,
     projector,
-    theta_at_nbar,
     to_density_matrix,
     trace_distance,
     von_neumann_entropy,
 )
 from bmc import analytic, cli
+from bmc.capacity import theta_at_nbar
 from oracles import gauss_laguerre_ensemble_average, golden_section_maximize
 
 REF = ChannelParams(gamma=0.1, beta_rate=0.01, n_bar=5.0)

@@ -1,4 +1,6 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from bmc import (
     ensemble_average_state,
     evolve,
     evolve_coherent_analytic,
-    f_factor,
     field_amplitude,
     g_entropy,
     mean_photon_number,
@@ -25,7 +26,9 @@ from bmc import (
     von_neumann_entropy,
 )
 from bmc import analytic, fock
+from bmc.analytic import f_factor
 from oracles import (
+    complex_sandwich_state,
     expm_displacement,
     gauss_laguerre_ensemble_average,
     monte_carlo_ensemble_average,
@@ -181,6 +184,21 @@ class TestToDensityMatrix:
                 dim = analytic.suggested_dim(state)
                 dist = trace_distance(to_density_matrix(state, dim), self._expm_sandwich(state, dim))
                 assert dist <= 1e-12, (n_bar, u, dist)
+
+    @pytest.mark.parametrize("dim", [20, 50, 175, 274, 400])
+    def test_matches_complex_sandwich(self, dim):
+        # the real parity-block state against the complex-arithmetic product;
+        # a cold core (most thermal weights negligible) and a warm one
+        radius = 0.25 * math.sqrt(dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for n_th in (0.0095, 1.0):
+                for phase in (0.4, -2.2):
+                    state = GaussianChannelState(radius * cmath.exp(1j * phase), n_th)
+                    dist = trace_distance(
+                        to_density_matrix(state, dim), complex_sandwich_state(state, dim)
+                    )
+                    assert dist <= 1e-13, (n_th, phase, dist)
 
     def test_negative_thermal_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bmc
 from bmc import (
     CapacityPoint,
     ChannelParams,
@@ -25,13 +26,13 @@ from bmc import (
     g_entropy,
     optimal_nbar,
     theta,
-    theta_at_nbar,
     thermal_state,
     thermal_tail_dim,
     to_density_matrix,
     von_neumann_entropy,
 )
-from bmc import analytic
+from bmc import analytic, capacity
+from bmc.capacity import theta_at_nbar
 from oracles import gauss_laguerre_scalar_average, golden_section_maximize
 
 REF = ChannelParams(gamma=0.1, beta_rate=0.01, n_bar=5.0)
@@ -457,3 +458,10 @@ class TestCriterionResidual:
             criterion_residual(0.0, REF, 1.0)
         with pytest.raises(InvalidTimeError):
             criterion_residual(1.0, REF, 0.0)
+
+
+def test_helpers_stay_out_of_the_package_namespace():
+    # perfbench traces capacity.theta_at_nbar by module attribute
+    for name in ("f_factor", "theta_at_nbar"):
+        assert name not in bmc.__all__ and not hasattr(bmc, name)
+    assert callable(analytic.f_factor) and callable(capacity.theta_at_nbar)

@@ -13,9 +13,9 @@ from bmc import (
     InvalidTimeError,
     capacity_point,
     optimal_nbar,
-    theta_at_nbar,
 )
 from bmc import cli
+from bmc.capacity import theta_at_nbar
 from bmc.cli import (
     EXIT_NO_OPTIMUM,
     EXIT_OK,

@@ -6,6 +6,7 @@ import threading
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -95,6 +96,18 @@ class TestCoherentState:
         assert state.truncation_loss == pytest.approx(direct, rel=1e-12)
         assert coherent_truncation_loss(2.0, 5) == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "eta, dim",
+        [(0.1, 2), (0.5, 5), (1 + 1j, 10), (2.0, 20), (3 - 4j, 50), (7.0, 100),
+         (10j, 175), (20.0, 400), (26.0, 700), (31.6, 1300)],
+    )
+    def test_loss_is_the_poisson_tail(self, eta, dim):
+        # weight beyond dim-1 of a Poisson law of mean |eta|^2, in 50 digits
+        with mpmath.workdps(50):
+            x = mpmath.mpf(abs(eta)) ** 2
+            tail = 1 - mpmath.exp(-x) * mpmath.fsum(x**n / mpmath.factorial(n) for n in range(dim))
+        assert abs(coherent_truncation_loss(eta, dim) - float(tail)) <= 1e-14
+
     @pytest.mark.parametrize("eta", [math.nan, math.inf, complex(0.5, math.nan), -math.inf])
     def test_nonfinite_amplitude_rejected(self, eta):
         # max(0.0, nan) is 0.0, so a NaN amplitude would otherwise report no loss
@@ -144,17 +157,21 @@ class TestDisplacementOperator:
                     assert err <= 1e-12, (alpha, err)
 
     def test_eigenbasis_is_hermite_roots(self):
-        # Golub-Welsch: the truncated sqrt(2) x has the roots of H_d as sqrt(2) x_k
-        for dim in (2, 9, 60):
-            evals, evecs = fock._hermite_eigenbasis(dim)
+        # Golub-Welsch: the truncated sqrt(2) x has the roots of H_d as sqrt(2) x_k,
+        # and the singular values of the odd<-even block are its positive eigenvalues
+        for dim in (2, 3, 9, 60):
+            left, sigma, right = fock._parity_basis(dim)
             roots, _ = np.polynomial.hermite.hermgauss(dim)
-            assert np.max(np.abs(evals - math.sqrt(2.0) * np.sort(roots))) < 1e-12
-            assert np.max(np.abs(evecs.T @ evecs - np.eye(dim))) < 1e-12
+            positive = np.sort(roots)[dim - dim // 2 :]
+            assert sigma.shape == (dim // 2,)
+            assert np.max(np.abs(np.sort(sigma) - math.sqrt(2.0) * positive)) < 1e-12
+            assert np.max(np.abs(left.T @ left - np.eye(dim // 2))) < 1e-12
+            assert np.max(np.abs(right.T @ right - np.eye(dim - dim // 2))) < 1e-12
 
     def test_eigenbasis_cached_and_immutable(self):
-        first = fock._hermite_eigenbasis(7)
-        assert fock._hermite_eigenbasis(7) is first
-        assert not first[0].flags.writeable and not first[1].flags.writeable
+        first = fock._parity_basis(7)
+        assert fock._parity_basis(7) is first
+        assert not any(arr.flags.writeable for arr in first)
         # every call hands back its own matrix, built from the shared basis
         alpha = 0.4 - 0.3j
         displacement_operator(alpha, 7)[:] = 0.0
@@ -162,7 +179,7 @@ class TestDisplacementOperator:
 
     def test_concurrent_displacements_share_one_basis(self):
         dim = 97
-        fock._hermite_eigenbasis.cache_clear()
+        fock._parity_basis.cache_clear()
         results = [None] * 16
         barrier = threading.Barrier(len(results))
 
@@ -183,7 +200,44 @@ class TestDisplacementOperator:
             sys.setswitchinterval(interval)
         for i, mat in enumerate(results):
             assert np.max(np.abs(mat - expm_displacement(0.8 + 0.1j * i, dim))) < 1e-12
-        assert fock._hermite_eigenbasis.cache_info().currsize == 1
+        assert fock._parity_basis.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("dim", [2, 3, 20, 51, 100, 274, 400])
+    def test_real_block_matches_matrix_exponential(self, dim):
+        # O(r) = exp(r (a+ - a)) is real orthogonal; its parity blocks are
+        # built from the SVD of the odd<-even block alone
+        radii = (0.3, 1.7, 0.25 * math.sqrt(dim))
+        if dim <= 100:
+            radii += (3.0,)
+        for r in radii:
+            built = fock._real_displacement(r, dim)
+            assert built.dtype == np.float64
+            err = np.max(np.abs(built - expm_displacement(r, dim)))
+            assert err <= 1e-12, (r, err)
+            assert np.max(np.abs(built.T @ built - np.eye(dim))) <= 1e-13, r
+
+
+class TestDisplaceDiagonal:
+    def test_matches_sandwich_with_displacement_operator(self):
+        dim = 40
+        alpha = -0.6 + 0.9j
+        thermal = thermal_state(0.7, dim)
+        shift = displacement_operator(alpha, dim)
+        expected = shift @ thermal.entries @ shift.conj().T
+        built = fock.displace_diagonal(alpha, thermal)
+        assert np.max(np.abs(built.entries - expected / np.trace(expected).real)) < 1e-14
+
+    def test_zero_displacement_returns_the_state(self):
+        thermal = thermal_state(0.3, 12)
+        assert fock.displace_diagonal(0, thermal) is thermal
+
+    def test_rejects_a_non_diagonal_state(self):
+        with pytest.raises(InvalidParameterError, match="diagonal"):
+            fock.displace_diagonal(0.5, projector(coherent_state(0.3, 12)))
+
+    def test_warns_when_truncated(self):
+        with pytest.warns(TruncationWarning, match="displacement by"):
+            fock.displace_diagonal(3.0, thermal_state(0.1, 12))
 
 
 class TestThermalState:
@@ -362,6 +416,36 @@ class TestSpectrum:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_solver)
         assert np.array_equal(DensityMatrix(mat).spectrum, expected)
+
+    @pytest.mark.parametrize("dim", [20, 175, 400])
+    def test_phased_real_state_solves_its_real_part_once(self, monkeypatch, dim):
+        solve = np.linalg.eigvalsh
+        arguments = []
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda mat: arguments.append(mat) or solve(mat)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            alpha = 0.3 * math.sqrt(dim) * np.exp(2.5j)
+            rho = fock.displace_diagonal(alpha, thermal_state(0.4, dim))
+        rho.validate()
+        von_neumann_entropy(rho)
+        assert len(arguments) == 1
+        assert arguments[0].dtype == np.float64
+        assert np.max(np.abs(rho.spectrum - solve(rho.entries))) <= 1e-13
+
+    def test_phased_real_parts_agree_and_stay_read_only(self):
+        rng = np.random.default_rng(11)
+        real = rng.standard_normal((6, 6))
+        real = real + real.T
+        phases = np.exp(1j * rng.uniform(-math.pi, math.pi, 6))
+        rho = DensityMatrix._from_phased_real(phases, real)
+        assert np.array_equal(rho.entries, real * np.outer(phases, phases.conj()))
+        assert not rho._real.flags.writeable and not rho.entries.flags.writeable
+        real[0, 0] = 99.0  # the caller's array is copied
+        assert rho._real[0, 0] != 99.0
+        with pytest.raises(InvalidParameterError, match="unit modulus"):
+            DensityMatrix._from_phased_real(1.01 * phases, real)
 
     def test_off_diagonal_entry_takes_the_solver(self):
         mat = np.diag([0.5, 0.5]).astype(complex)

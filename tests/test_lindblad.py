@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -22,7 +23,9 @@ from bmc import (
     mean_photon_number,
     number_state,
     projector,
+    suggested_dim,
     thermal_state,
+    thermal_tail_dim,
     to_density_matrix,
     trace_distance,
     von_neumann_entropy,
@@ -269,6 +272,39 @@ class TestFailureModes:
         params = ChannelParams(gamma=1.0, beta_rate=100.0)
         with pytest.raises(TruncationError, match="top Fock level 19"):
             evolve(projector(number_state(0, 20)), params, 5.0)
+
+    def test_cutoff_error_suggests_a_dimension(self):
+        # the exact mean at t = 5 is 100 (1 - e^{-5}) = 99.33 photons, whose
+        # thermal tail needs 2069 levels; the error is raised at the first
+        # step that crosses the cutoff limit, long before t = 5
+        params = ChannelParams(gamma=1.0, beta_rate=100.0)
+        mean = 100.0 * -math.expm1(-5.0)
+        needed = max(suggested_dim(mean, mean * (mean + 1.0)), thermal_tail_dim(mean))
+        assert needed == 2069
+        started = time.perf_counter()
+        with pytest.raises(TruncationError, match=r"to t=5; suggest dim >= 2069$"):
+            evolve(projector(number_state(0, 20)), params, 5.0)
+        assert time.perf_counter() - started < 30.0
+
+    def test_stiff_case_exhausts_the_work_budget(self):
+        # stability-limited RK45: about 90 000 evaluations per 0.1 s of channel
+        # time here, so t = 1 used to run for minutes without an error
+        rho0 = projector(coherent_state(1.0, 30))
+        params = ChannelParams(gamma=1e4, beta_rate=1e3)
+        started = time.perf_counter()
+        with pytest.raises(StiffnessError, match=r"short of t=1 \(gamma=10000, dim=30\)"):
+            evolve(rho0, params, 1.0)
+        assert time.perf_counter() - started < 30.0
+
+    def test_work_budget_counts_every_evaluation(self, monkeypatch):
+        # fixed-step RK4: 1000 steps of four evaluations each
+        rho0 = projector(number_state(1, 12))
+        opts = IntegratorOptions(method="rk4", max_step=1e-3)
+        monkeypatch.setattr(lindblad, "MAX_RHS_EVALS", 4000)
+        evolve(rho0, REF, 1.0, opts)
+        monkeypatch.setattr(lindblad, "MAX_RHS_EVALS", 3999)
+        with pytest.raises(StiffnessError, match="3999 right-hand-side evaluations"):
+            evolve(rho0, REF, 1.0, opts)
 
     def test_unstable_fixed_step_detected(self):
         rho0 = projector(number_state(0, 24))
