@@ -55,7 +55,6 @@ from .fock import (
 )
 from .lindblad import (
     ChannelParams,
-    IntegratorOptions,
     evolve,
     evolve_trajectory,
     lindblad_rhs,
@@ -70,7 +69,6 @@ __all__ = [
     "DensityMatrix",
     "DimensionMismatchError",
     "GaussianChannelState",
-    "IntegratorOptions",
     "InvalidDimensionError",
     "InvalidParameterError",
     "InvalidTimeError",

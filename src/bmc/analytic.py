@@ -92,10 +92,7 @@ def ensemble_average_state(params: ChannelParams, t: float) -> GaussianChannelSt
 
 def suggested_dim(state: GaussianChannelState) -> int:
     """Truncation dimension adequate for both moments and the thermal tail."""
-    return max(
-        fock.suggested_dim(state.mean_photons(), state.photon_variance()),
-        fock.thermal_tail_dim(state.thermal_photons),
-    )
+    return fock._displaced_thermal_dim(state.displacement, state.thermal_photons)
 
 
 def to_density_matrix(state: GaussianChannelState, dim: int) -> DensityMatrix:

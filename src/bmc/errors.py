@@ -22,7 +22,8 @@ class NotAStateError(ValueError):
 
 
 class StiffnessError(RuntimeError):
-    """The adaptive step size underflowed before reaching the target time."""
+    """The adaptive step size underflowed, or the right-hand-side work budget
+    ran out, before the integrator reached the target time."""
 
 
 class TruncationError(RuntimeError):

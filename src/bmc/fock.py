@@ -221,7 +221,7 @@ def coherent_state(eta: complex, dim: int) -> StateVector:
     if loss > COHERENT_LOSS_TOL:
         warnings.warn(
             f"coherent state |{eta}> loses weight {loss:.3e} at dim={dim}; "
-            f"suggest dim >= {suggested_dim(abs(eta) ** 2, abs(eta) ** 2)}",
+            f"suggest dim >= {_displaced_thermal_dim(eta, 0.0)}",
             TruncationWarning,
             stacklevel=2,
         )
@@ -433,3 +433,18 @@ def thermal_tail_dim(n_th: float, tail: float = 1e-9) -> int:
     if n_th == 0.0:
         return 2
     return max(2, math.ceil(math.log(tail) / math.log(n_th / (1.0 + n_th))))
+
+
+def _displaced_thermal_dim(alpha: complex, n_th: float) -> int:
+    """Truncation dimension for D(alpha) thermal(n_th) D+(alpha).
+
+    The larger of `suggested_dim` for its photon-number mean |alpha|^2 + n_th
+    and variance |alpha|^2 (2 n_th + 1) + n_th (n_th + 1), and of
+    `thermal_tail_dim(n_th)`. Coherent states have n_th = 0, undisplaced
+    thermal states alpha = 0.
+    """
+    alpha_sq = abs(alpha) ** 2
+    return max(
+        suggested_dim(alpha_sq + n_th, alpha_sq * (2.0 * n_th + 1.0) + n_th * (n_th + 1.0)),
+        thermal_tail_dim(n_th),
+    )

@@ -24,6 +24,7 @@ from bmc.cli import (
     SweepSpec,
     load_config,
     preset_spec,
+    print_validation_table,
     resolve,
     run_validation,
     sweep_rows,
@@ -274,6 +275,16 @@ class TestValidate:
         )
         assert not report.passed
         assert all(d > 1e-30 for d in report.trace_distances)
+
+    def test_table_rows_use_the_report_tolerances(self, capsys):
+        # a tolerance passed to run_validation also decides each row's status
+        report = run_validation(REF, etas=(0.5,), times=(1, 5), dim=30, trace_tol=1e-12)
+        print_validation_table(report)
+        lines = capsys.readouterr().out.splitlines()
+        statuses = [line.split()[-1] for line in lines[1:3]]
+        assert statuses == ["ok" if ok else "FAIL" for ok in report.point_passed]
+        assert "FAIL" in statuses
+        assert lines[-1] == "validation FAILED"
 
 
 class TestSharedParser:

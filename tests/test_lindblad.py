@@ -8,7 +8,6 @@ import pytest
 from bmc import (
     ChannelParams,
     DensityMatrix,
-    IntegratorOptions,
     InvalidParameterError,
     InvalidTimeError,
     StiffnessError,
@@ -63,24 +62,6 @@ class TestChannelParams:
 
     def test_reservoir_photons(self):
         assert REF.reservoir_photons == pytest.approx(0.1, rel=1e-12)
-
-
-class TestIntegratorOptions:
-    def test_defaults_valid(self):
-        opts = IntegratorOptions()
-        assert opts.method == "rk45"
-
-    def test_rejects_bad_settings(self):
-        with pytest.raises(InvalidParameterError):
-            IntegratorOptions(rel_tol=0.0)
-        with pytest.raises(InvalidParameterError):
-            IntegratorOptions(abs_tol=-1e-9)
-        with pytest.raises(InvalidParameterError):
-            IntegratorOptions(max_step=0.0)
-        with pytest.raises(InvalidParameterError):
-            IntegratorOptions(method="euler")
-        with pytest.raises(InvalidParameterError):
-            IntegratorOptions(method="rk4")  # needs a finite max_step
 
 
 class TestRhs:
@@ -183,12 +164,6 @@ class TestEvolve:
             out = evolve(rho0, REF, t)
             assert abs(von_neumann_entropy(out) - g_entropy(beta_t(REF, t))) < 1e-6
 
-    def test_rk4_agrees_with_rk45(self):
-        rho0 = projector(coherent_state(1.0, 36))
-        fixed = evolve(rho0, REF, 1.0, IntegratorOptions(method="rk4", max_step=1e-3))
-        adaptive = evolve(rho0, REF, 1.0)
-        assert trace_distance(fixed, adaptive) < 1e-8
-
     def test_negative_time_rejected(self):
         with pytest.raises(InvalidTimeError):
             evolve(projector(number_state(0, 10)), REF, -1.0)
@@ -211,6 +186,14 @@ class TestTrajectory:
             assert abs(state.trace() - 1.0) < 1e-8
             assert np.max(np.abs(state.entries - state.entries.conj().T)) < 1e-10
             assert np.linalg.eigvalsh(state.entries)[0] > -1e-8
+
+    def test_zero_and_repeated_times(self):
+        rho0 = projector(coherent_state(0.7, 30))
+        traj = evolve_trajectory(rho0, REF, [0.0, 0.5, 0.5, 2.0])
+        assert [t for t, _ in traj] == [0.0, 0.5, 0.5, 2.0]
+        assert traj[0][1] is rho0
+        assert np.array_equal(traj[1][1].entries, traj[2][1].entries)
+        assert trace_distance(traj[1][1], traj[3][1]) > 1e-3
 
     def test_rejects_decreasing_times(self):
         rho0 = projector(number_state(0, 10))
@@ -242,11 +225,6 @@ class TestSqueezedReservoir:
 
 
 class TestFailureModes:
-    def test_step_floor_raises_stiffness_error(self):
-        rho0 = projector(number_state(0, 20))
-        with pytest.raises(StiffnessError):
-            evolve(rho0, REF, 1.0, IntegratorOptions(max_step=1e-20))
-
     def test_hostile_rhs_underflows_step_size(self):
         # a non-smooth right-hand side defeats the error estimator
         rng = np.random.default_rng(3)
@@ -254,10 +232,8 @@ class TestFailureModes:
         def hostile(_y):
             return rng.standard_normal((4, 4)) * 1e6
 
-        with pytest.raises(StiffnessError):
-            lindblad._integrate_rk45(
-                hostile, np.eye(4, dtype=complex) / 4.0, 0.0, 1.0, IntegratorOptions()
-            )
+        with pytest.raises(StiffnessError, match="step size underflow"):
+            next(lindblad._integrate(hostile, np.eye(4, dtype=complex) / 4.0, [1.0]))
 
     def test_trace_deficient_input_raises_truncation_error(self):
         with warnings.catch_warnings():
@@ -297,16 +273,31 @@ class TestFailureModes:
         assert time.perf_counter() - started < 30.0
 
     def test_work_budget_counts_every_evaluation(self, monkeypatch):
-        # fixed-step RK4: 1000 steps of four evaluations each
         rho0 = projector(number_state(1, 12))
-        opts = IntegratorOptions(method="rk4", max_step=1e-3)
-        monkeypatch.setattr(lindblad, "MAX_RHS_EVALS", 4000)
-        evolve(rho0, REF, 1.0, opts)
-        monkeypatch.setattr(lindblad, "MAX_RHS_EVALS", 3999)
-        with pytest.raises(StiffnessError, match="3999 right-hand-side evaluations"):
-            evolve(rho0, REF, 1.0, opts)
+        generator = lindblad._generator
+        evals = 0
 
-    def test_unstable_fixed_step_detected(self):
-        rho0 = projector(number_state(0, 24))
-        with pytest.raises(TruncationError):
-            evolve(rho0, REF, 100.0, IntegratorOptions(method="rk4", max_step=5.0))
+        def counting_generator(dim, params):
+            rhs = generator(dim, params)
+
+            def f(rho):
+                nonlocal evals
+                evals += 1
+                return rhs(rho)
+
+            return f
+
+        monkeypatch.setattr(lindblad, "_generator", counting_generator)
+        evolve(rho0, REF, 1.0)
+        needed = evals
+        monkeypatch.setattr(lindblad, "MAX_RHS_EVALS", needed)
+        evolve(rho0, REF, 1.0)
+        monkeypatch.setattr(lindblad, "MAX_RHS_EVALS", needed - 1)
+        with pytest.raises(StiffnessError, match=f"{needed - 1} right-hand-side evaluations"):
+            evolve(rho0, REF, 1.0)
+
+    def test_trace_drift_caught_during_stepping(self):
+        # y' = y is smooth, so the steps are accepted, but its trace grows
+        # as e^t; the check after the first step (to t = 0.01) stops it
+        with pytest.raises(TruncationError, match=r"trace drifted by \S+ at t=0\.01;"):
+            next(lindblad._integrate(lambda y: y, np.eye(4, dtype=complex) / 4.0, [1.0]))
