@@ -105,7 +105,4 @@ def to_density_matrix(state: GaussianChannelState, dim: int) -> DensityMatrix:
             TruncationWarning,
             stacklevel=2,
         )
-    thermal = fock.thermal_state(state.thermal_photons, dim)
-    if state.displacement == 0:
-        return thermal
-    return fock.displace_diagonal(state.displacement, thermal).validate()
+    return fock.displaced_thermal_state(state.displacement, state.thermal_photons, dim)

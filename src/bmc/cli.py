@@ -49,6 +49,8 @@ TRACE_DISTANCE_THRESHOLD = 1e-6
 ENTROPY_GAP_THRESHOLD = 1e-6
 
 CSV_HEADER = "swept_value,t,chi_bits,avg_fidelity,theta"
+# Rows of the `optimal --curve` CSV, log-spaced in n_bar from 1e-2 to search_max.
+THETA_CURVE_POINTS = 200
 
 _SWEPT_CHOICES = ("n_bar", "beta_rate", "gamma", "t")
 _SWEEP_KEYS = ("swept", "lo", "hi", "steps", "t_grid")
@@ -299,12 +301,10 @@ def _format_complex(z: complex) -> str:
     return f"{z.real:g}{z.imag:+g}j"
 
 
-def write_theta_curve(
-    params: ChannelParams, t: float, search_max: float, out_path, points: int = 200
-) -> Path:
-    """Emit a log-spaced n_bar,theta curve as CSV."""
+def write_theta_curve(params: ChannelParams, t: float, search_max: float, out_path) -> Path:
+    """Emit THETA_CURVE_POINTS log-spaced n_bar,theta rows as CSV."""
     out_path = Path(out_path)
-    grid = np.geomspace(1e-2, search_max, points)
+    grid = np.geomspace(1e-2, search_max, THETA_CURVE_POINTS)
     with open(out_path, "w", newline="\n") as fh:
         fh.write("n_bar,theta\n")
         for n, value in zip(grid, theta_curve(params, t, grid)):

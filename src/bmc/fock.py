@@ -32,8 +32,8 @@ POSITIVITY_TOL = 1e-9
 # Coherent-state truncation losses above this level trigger a warning.
 COHERENT_LOSS_TOL = 1e-6
 
-# Populations below this fraction of the largest are left out of a displaced
-# diagonal state (see `displace_diagonal`).
+# Thermal weights below this fraction of the largest are left out of a
+# displaced thermal state (see `displaced_thermal_state`).
 _NEGLIGIBLE_WEIGHT = np.finfo(float).eps ** 2
 
 # Eigenvalues at or below this level contribute nothing to the entropy.
@@ -308,32 +308,6 @@ def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     return _real_displacement(abs(alpha), dim) * np.outer(phases, phases.conj())
 
 
-def displace_diagonal(alpha: complex, rho: DensityMatrix) -> DensityMatrix:
-    """D(alpha) rho D+(alpha) for a diagonal rho, renormalized to unit trace.
-
-    A diagonal rho commutes with Q', so the state is Q' R Q'+ with the real
-    symmetric R = O(r) diag(rho) O(r)^T. It is built and, through
-    `DensityMatrix.spectrum`, diagonalized in real arithmetic. The result is
-    not validated; alpha = 0 returns rho itself.
-    """
-    populations = np.diagonal(rho.entries)
-    if np.count_nonzero(rho.entries) != np.count_nonzero(populations):
-        raise InvalidParameterError("displace_diagonal needs a diagonal density matrix")
-    alpha = complex(alpha)
-    if alpha == 0:
-        return rho
-    _warn_if_truncated(alpha, rho.dim)
-    weights = populations.real
-    # Levels below eps^2 of the largest weight move no entry or eigenvalue
-    # beyond rounding; leaving them out also keeps subnormal products, and
-    # their slow arithmetic, out of the matrix product.
-    kept = weights > _NEGLIGIBLE_WEIGHT * weights.max()
-    columns = _real_displacement(abs(alpha), rho.dim)[:, kept]
-    real = (columns * weights[kept]) @ columns.T
-    real /= np.trace(real)
-    return DensityMatrix._from_phased_real(_displacement_phases(alpha, rho.dim), real)
-
-
 def projector(state: StateVector) -> DensityMatrix:
     """Rank-one density matrix |psi><psi| / <psi|psi>."""
     norm_sq = float(np.sum(np.abs(state.amplitudes) ** 2))
@@ -342,22 +316,54 @@ def projector(state: StateVector) -> DensityMatrix:
     return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()) / norm_sq)
 
 
-def thermal_state(n_th: float, dim: int) -> DensityMatrix:
-    """Thermal state with mean occupation n_th, renormalized after truncation.
+def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMatrix:
+    """D(alpha) thermal(n_th) D+(alpha), renormalized after truncation; validated.
 
-    Diagonal weights n_th^n / (1 + n_th)^{n+1}; choose `dim` so the truncated
-    tail is negligible (see thermal_tail_dim).
+    The thermal weights w_n = n_th^n / (1 + n_th)^{n+1} are formed once; a
+    TruncationWarning is emitted when their dropped tail, or the weight the
+    displacement moves past the cutoff, exceeds COHERENT_LOSS_TOL. At
+    alpha = 0 the state is diagonal. Otherwise diag(w) commutes with Q', so
+    the state is Q' R Q'+ with the real symmetric R = O(r) diag(w) O(r)^T,
+    built and, through `DensityMatrix.spectrum`, diagonalized in real
+    arithmetic.
     """
     dim = _check_dim(dim)
+    alpha = complex(alpha)
     n_th = float(n_th)
     if not math.isfinite(n_th) or n_th < 0.0:
         raise InvalidParameterError(f"thermal occupation must be >= 0, got {n_th}")
-    if n_th == 0.0:
-        return projector(number_state(0, dim))
     ratio = n_th / (1.0 + n_th)
+    tail = ratio**dim
+    if tail > COHERENT_LOSS_TOL:
+        warnings.warn(
+            f"thermal state with {n_th:.4g} photons loses weight {tail:.3e} at "
+            f"dim={dim}; suggest dim >= {thermal_tail_dim(n_th)}",
+            TruncationWarning,
+            stacklevel=2,
+        )
     weights = (1.0 / (1.0 + n_th)) * ratio ** np.arange(dim)
     weights /= weights.sum()
-    return DensityMatrix(np.diag(weights.astype(complex))).validate()
+    if alpha == 0:
+        return DensityMatrix(np.diag(weights)).validate()
+    _warn_if_truncated(alpha, dim)
+    # Levels below eps^2 of the largest weight move no entry or eigenvalue
+    # beyond rounding; leaving them out also keeps subnormal products, and
+    # their slow arithmetic, out of the matrix product.
+    kept = weights > _NEGLIGIBLE_WEIGHT * weights.max()
+    columns = _real_displacement(abs(alpha), dim)[:, kept]
+    real = (columns * weights[kept]) @ columns.T
+    real /= np.trace(real)
+    return DensityMatrix._from_phased_real(_displacement_phases(alpha, dim), real).validate()
+
+
+def thermal_state(n_th: float, dim: int) -> DensityMatrix:
+    """Thermal state with mean occupation n_th, renormalized after truncation.
+
+    Diagonal weights n_th^n / (1 + n_th)^{n+1}, the undisplaced case of
+    `displaced_thermal_state`; a TruncationWarning suggests `thermal_tail_dim`
+    when the dropped tail exceeds COHERENT_LOSS_TOL.
+    """
+    return displaced_thermal_state(0, n_th, dim)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -71,6 +71,10 @@ class ChannelParams:
         if not math.isfinite(self.n_bar) or self.n_bar < 0.0:
             raise InvalidParameterError(f"n_bar must be >= 0, got {self.n_bar}")
         n_res = self.beta_rate / self.gamma
+        if not math.isfinite(n_res):
+            raise InvalidParameterError(
+                f"reservoir occupation beta/gamma = {self.beta_rate}/{self.gamma} is not finite"
+            )
         bound = n_res * (n_res + 1.0)
         if not abs(self.m_squeeze) ** 2 <= bound + 1e-12 * max(1.0, bound):
             raise InvalidParameterError(

@@ -152,6 +152,15 @@ class TestToDensityMatrix:
     def test_invariant_triple(self):
         to_density_matrix(GaussianChannelState(1.2 + 0.4j, 0.8), 80).validate()
 
+    def test_validates_a_displaced_state_once(self, monkeypatch):
+        validate = fock.DensityMatrix.validate
+        calls = []
+        monkeypatch.setattr(
+            fock.DensityMatrix, "validate", lambda rho, **kw: calls.append(1) or validate(rho, **kw)
+        )
+        to_density_matrix(GaussianChannelState(1.2 + 0.4j, 0.8), 80)
+        assert len(calls) == 1
+
     def test_warns_below_suggested_dim(self):
         state = GaussianChannelState(3.0, 0.5)
         with pytest.warns(TruncationWarning):

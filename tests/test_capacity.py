@@ -277,6 +277,25 @@ class TestCapacityPoint:
         with pytest.raises(InvalidParameterError):
             CapacityPoint(t=1.0, chi=1.0, avg_fidelity=0.5, theta=0.7)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        gamma=st.floats(1e-3, 10.0),
+        beta=st.one_of(st.just(0.0), st.floats(1e-4, 100.0)),
+        n_bar=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+        gamma_t=st.floats(0.0, 700.0),
+    )
+    def test_bounds_and_monotone_in_signal(self, gamma, beta, n_bar, gamma_t):
+        params = ChannelParams(gamma=gamma, beta_rate=beta, n_bar=n_bar)
+        t = gamma_t / gamma
+        point = capacity_point(params, t)
+        assert math.isfinite(point.chi) and point.chi >= 0.0
+        assert 0.0 < point.avg_fidelity <= 1.0
+        assert point.theta == point.avg_fidelity * point.chi
+        # a stronger signal carries no less information and is copied no better
+        doubled = capacity_point(replace(params, n_bar=2.0 * n_bar), t)
+        assert doubled.chi >= point.chi
+        assert doubled.avg_fidelity <= point.avg_fidelity
+
 
 class TestOptimalSignal:
     def test_dual_optimizers_agree(self):

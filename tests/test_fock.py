@@ -115,6 +115,8 @@ class TestCoherentState:
             coherent_truncation_loss(eta, 10)
         with pytest.raises(InvalidParameterError, match="finite"):
             coherent_state(eta, 10)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            fock.displaced_thermal_state(eta, 0.1, 10)
 
 
 class TestDisplacementOperator:
@@ -217,27 +219,27 @@ class TestDisplacementOperator:
             assert np.max(np.abs(built.T @ built - np.eye(dim))) <= 1e-13, r
 
 
-class TestDisplaceDiagonal:
+class TestDisplacedThermalState:
     def test_matches_sandwich_with_displacement_operator(self):
         dim = 40
         alpha = -0.6 + 0.9j
-        thermal = thermal_state(0.7, dim)
         shift = displacement_operator(alpha, dim)
-        expected = shift @ thermal.entries @ shift.conj().T
-        built = fock.displace_diagonal(alpha, thermal)
+        expected = shift @ thermal_state(0.7, dim).entries @ shift.conj().T
+        built = fock.displaced_thermal_state(alpha, 0.7, dim)
         assert np.max(np.abs(built.entries - expected / np.trace(expected).real)) < 1e-14
 
-    def test_zero_displacement_returns_the_state(self):
-        thermal = thermal_state(0.3, 12)
-        assert fock.displace_diagonal(0, thermal) is thermal
-
-    def test_rejects_a_non_diagonal_state(self):
-        with pytest.raises(InvalidParameterError, match="diagonal"):
-            fock.displace_diagonal(0.5, projector(coherent_state(0.3, 12)))
+    def test_zero_displacement_is_the_thermal_state(self):
+        levels = np.arange(80)
+        for n_th in (0.0, 0.3, 4.0):
+            weights = n_th**levels / (1.0 + n_th) ** (levels + 1)
+            built = fock.displaced_thermal_state(0, n_th, 80).entries
+            assert np.array_equal(built, np.diag(np.diagonal(built))), n_th
+            assert np.allclose(np.diagonal(built), weights / weights.sum(), rtol=1e-13, atol=0)
+            assert np.array_equal(built, thermal_state(n_th, 80).entries), n_th
 
     def test_warns_when_truncated(self):
         with pytest.warns(TruncationWarning, match="displacement by"):
-            fock.displace_diagonal(3.0, thermal_state(0.1, 12))
+            fock.displaced_thermal_state(3.0, 0.1, 12)
 
 
 class TestThermalState:
@@ -263,6 +265,12 @@ class TestThermalState:
     @pytest.mark.parametrize("n_th", [0.0, 0.3, 1.0, 4.0])
     def test_invariant_triple(self, n_th):
         thermal_state(n_th, 80).validate()
+
+    def test_warns_when_the_tail_is_truncated(self):
+        # r^dim = (5/6)^10 = 0.16 of the weight is dropped; the mean reads 3.07
+        with pytest.warns(TruncationWarning, match=f"suggest dim >= {thermal_tail_dim(5.0)}"):
+            rho = thermal_state(5.0, 10)
+        assert mean_photon_number(rho) == pytest.approx(3.07, abs=0.01)
 
 
 class TestVonNeumannEntropy:
@@ -427,7 +435,7 @@ class TestSpectrum:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             alpha = 0.3 * math.sqrt(dim) * np.exp(2.5j)
-            rho = fock.displace_diagonal(alpha, thermal_state(0.4, dim))
+            rho = fock.displaced_thermal_state(alpha, 0.4, dim)
         rho.validate()
         von_neumann_entropy(rho)
         assert len(arguments) == 1

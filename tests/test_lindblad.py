@@ -60,6 +60,11 @@ class TestChannelParams:
         with pytest.raises(InvalidParameterError, match="m_squeeze"):
             ChannelParams(gamma=0.1, beta_rate=0.01, m_squeeze=m)
 
+    def test_rejects_a_non_finite_reservoir_occupation(self):
+        # beta/gamma overflows to inf, which beta(t), Theta and evolve turn into nan
+        with pytest.raises(InvalidParameterError, match="beta/gamma"):
+            ChannelParams(gamma=1e-300, beta_rate=1e10)
+
     def test_reservoir_photons(self):
         assert REF.reservoir_photons == pytest.approx(0.1, rel=1e-12)
 
