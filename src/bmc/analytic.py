@@ -27,7 +27,7 @@ class GaussianChannelState:
     thermal_photons: float
 
     def __post_init__(self):
-        object.__setattr__(self, "displacement", complex(self.displacement))
+        object.__setattr__(self, "displacement", fock._check_amplitude(self.displacement))
         object.__setattr__(self, "thermal_photons", float(self.thermal_photons))
         if not math.isfinite(self.thermal_photons) or self.thermal_photons < 0.0:
             raise InvalidParameterError(

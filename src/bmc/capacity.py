@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .analytic import _check_time, beta_t
 from .errors import InvalidParameterError, InvalidTimeError
+from .fock import _check_amplitude
 from .lindblad import ChannelParams
 
 _LN2 = math.log(2.0)
@@ -110,8 +111,9 @@ def channel_capacity(params: ChannelParams, t: float) -> float:
 
 def fidelity_analytic(eta: complex, params: ChannelParams, t: float) -> float:
     """Input-output overlap <eta| output |eta> for a coherent input."""
+    eta = _check_amplitude(eta)
     b, _, damping = _channel_terms(params, t)
-    return math.exp(-damping * abs(complex(eta)) ** 2 / (1.0 + b)) / (1.0 + b)
+    return math.exp(-damping * abs(eta) ** 2 / (1.0 + b)) / (1.0 + b)
 
 
 def average_fidelity(params: ChannelParams, t: float) -> float:

@@ -9,7 +9,8 @@ Subcommands:
             fidelity-capacity product
 
 Exit codes: 0 success, 1 usage or configuration error, 2 validation failed
-(including insufficient truncation), 3 no interior optimum.
+(including insufficient truncation and an integrator that gives up on a stiff
+channel), 3 no interior optimum.
 
 Every setting resolves key by key in rising precedence: reference values,
 the sweep preset, the `--config` file, then flags.
@@ -32,6 +33,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
     InvalidTimeError,
+    StiffnessError,
     TruncationError,
 )
 from .lindblad import ChannelParams
@@ -178,16 +180,6 @@ def write_plot_script(csv_path) -> Path:
 
 
 @dataclass(frozen=True)
-class WorstCase:
-    """Largest deviations seen in a validation run and where they occurred."""
-
-    max_trace_distance: float
-    trace_point: tuple[complex, float]
-    max_entropy_gap: float
-    entropy_point: tuple[complex, float]
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Analytic-vs-integrator comparison over a grid of (eta, t) points."""
 
@@ -196,7 +188,6 @@ class ValidationReport:
     entropy_gaps: tuple[float, ...]
     # Per point: trace distance and entropy gap both within tolerance.
     point_passed: tuple[bool, ...]
-    worst_case: WorstCase
 
     @property
     def passed(self) -> bool:
@@ -260,20 +251,11 @@ def run_validation(
                 )
             )
 
-    i_td = max(range(len(tds)), key=tds.__getitem__)
-    i_gap = max(range(len(gaps)), key=gaps.__getitem__)
-    worst = WorstCase(
-        max_trace_distance=tds[i_td],
-        trace_point=grid[i_td],
-        max_entropy_gap=gaps[i_gap],
-        entropy_point=grid[i_gap],
-    )
     return ValidationReport(
         grid=tuple(grid),
         trace_distances=tuple(tds),
         entropy_gaps=tuple(gaps),
         point_passed=tuple(d <= trace_tol and g <= entropy_tol for d, g in zip(tds, gaps)),
-        worst_case=worst,
     )
 
 
@@ -285,12 +267,15 @@ def print_validation_table(report: ValidationReport) -> None:
             f"{_format_complex(eta):>12}  {t:>8g}  {td:>12.3e}  {gap:>12.3e}  "
             f"{'ok' if ok else 'FAIL'}"
         )
-    worst = report.worst_case
+    tds, gaps = report.trace_distances, report.entropy_gaps
+    i_td = max(range(len(tds)), key=tds.__getitem__)
+    i_gap = max(range(len(gaps)), key=gaps.__getitem__)
+    (eta_td, t_td), (eta_gap, t_gap) = report.grid[i_td], report.grid[i_gap]
     print(
-        f"worst trace distance {worst.max_trace_distance:.3e} at "
-        f"(eta={_format_complex(worst.trace_point[0])}, t={worst.trace_point[1]:g}); "
-        f"worst entropy gap {worst.max_entropy_gap:.3e} at "
-        f"(eta={_format_complex(worst.entropy_point[0])}, t={worst.entropy_point[1]:g})"
+        f"worst trace distance {tds[i_td]:.3e} at "
+        f"(eta={_format_complex(eta_td)}, t={t_td:g}); "
+        f"worst entropy gap {gaps[i_gap]:.3e} at "
+        f"(eta={_format_complex(eta_gap)}, t={t_gap:g})"
     )
     print("validation PASSED" if report.passed else "validation FAILED")
 
@@ -489,6 +474,9 @@ def _run_validate(args) -> int:
         )
     except TruncationError as exc:
         print(f"truncation insufficient: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION_FAILED
+    except StiffnessError as exc:
+        print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_FAILED
     print_validation_table(report)
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAILED

@@ -39,6 +39,9 @@ _NEGLIGIBLE_WEIGHT = np.finfo(float).eps ** 2
 # Eigenvalues at or below this level contribute nothing to the entropy.
 _ENTROPY_FLOOR = 1e-14
 
+# Thermal tail weight `thermal_tail_dim` leaves beyond the cutoff.
+_TAIL_WEIGHT = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -111,7 +114,10 @@ class DensityMatrix:
         psd_tol: float = POSITIVITY_TOL,
     ) -> "DensityMatrix":
         """Check the invariant triple; return self or raise NotAStateError."""
-        herm_dev = float(np.max(np.abs(self.entries - self.entries.conj().T)))
+        # Q R Q+ with Q diagonal unitary deviates from Hermitian exactly as R
+        # from symmetric, element by element, so a (phases, R) state checks R.
+        mat = self.entries if self._real is None else self._real
+        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
         if not herm_dev <= herm_tol:
             raise NotAStateError(
                 f"not Hermitian: max deviation {herm_dev:.3e} > {herm_tol:.1e}"
@@ -174,9 +180,13 @@ def number_state(n: int, dim: int) -> StateVector:
 
 
 def _check_amplitude(eta) -> complex:
+    # |eta|^2 is checked as well: one that overflows would make every
+    # Poisson weight NaN and the truncation loss a silent zero.
     eta = complex(eta)
-    if not (math.isfinite(eta.real) and math.isfinite(eta.imag)):
-        raise InvalidParameterError(f"coherent amplitude must be finite, got {eta}")
+    if not math.isfinite(eta.real * eta.real + eta.imag * eta.imag):
+        raise InvalidParameterError(
+            f"coherent amplitude must be finite, with a finite |eta|^2, got {eta}"
+        )
     return eta
 
 
@@ -425,20 +435,27 @@ def field_amplitude(rho: DensityMatrix) -> complex:
 
 def suggested_dim(mean_photons: float, variance: float) -> int:
     """Truncation heuristic: dim >= mean + 8 sqrt(variance + 1) + 10."""
-    if mean_photons < 0 or variance < 0:
-        raise InvalidParameterError("photon-number moments must be >= 0")
+    if not (0.0 <= mean_photons < math.inf and 0.0 <= variance < math.inf):
+        raise InvalidParameterError(
+            f"photon-number moments must be finite and >= 0, got mean {mean_photons}, "
+            f"variance {variance}"
+        )
     return max(2, math.ceil(mean_photons + 8.0 * math.sqrt(variance + 1.0) + 10.0))
 
 
-def thermal_tail_dim(n_th: float, tail: float = 1e-9) -> int:
-    """Smallest dim whose truncated thermal tail weight is at most `tail`."""
-    if n_th < 0:
-        raise InvalidParameterError(f"thermal occupation must be >= 0, got {n_th}")
-    if not 0.0 < tail < 1.0:
-        raise InvalidParameterError(f"tail weight must be in (0, 1), got {tail}")
+def thermal_tail_dim(n_th: float) -> int:
+    """Smallest dim whose truncated thermal tail weight is at most 1e-9."""
+    if not 0.0 <= n_th < math.inf:
+        raise InvalidParameterError(f"thermal occupation must be finite and >= 0, got {n_th}")
     if n_th == 0.0:
         return 2
-    return max(2, math.ceil(math.log(tail) / math.log(n_th / (1.0 + n_th))))
+    # (n / (1 + n))^dim <= tail; log1p(1 / n) stays nonzero where n / (1 + n) rounds to 1.
+    dim = -math.log(_TAIL_WEIGHT) / math.log1p(1.0 / n_th)
+    if not math.isfinite(dim):
+        raise InvalidParameterError(
+            f"a thermal state with {n_th} photons needs a dimension beyond float range"
+        )
+    return max(2, math.ceil(dim))
 
 
 def _displaced_thermal_dim(alpha: complex, n_th: float) -> int:

@@ -2,9 +2,10 @@
 
 The generator is applied as shifted-slice multiply-adds on rho, O(d^2) per
 evaluation (the superoperator is never materialized), and integrated in the
-interaction picture, so there is no free-Hamiltonian commutator term. One
-adaptive Dormand-Prince 5(4) stepper, at fixed tolerances, integrates once
-from t = 0 through every sample time.
+interaction picture, so there is no free-Hamiltonian commutator term.
+`evolve_trajectory` integrates once from t = 0 through every sample time in
+one adaptive Dormand-Prince 5(4) loop at fixed tolerances, which counts its
+right-hand-side evaluations and checks every accepted step in place.
 """
 
 from __future__ import annotations
@@ -190,54 +191,6 @@ def _check_cutoff(
         )
 
 
-def _hermitize(y: np.ndarray) -> np.ndarray:
-    return 0.5 * (y + y.conj().T)
-
-
-def _integrate(f, y, stops, check=_check_trace):
-    """Integrate y' = f(y) once from t = 0 and yield y at each of `stops`.
-
-    `stops` are sorted, distinct and positive. A step that would pass the
-    next stop is shortened to end on it; the step size and the
-    first-same-as-last k1 carry on past every stop.
-    """
-    k1 = f(y)
-    # Initial step from the size of the state and its derivative.
-    scale = _ABS_TOL + _REL_TOL * np.abs(y)
-    d0 = float(np.sqrt(np.mean(np.abs(y / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean(np.abs(k1 / scale) ** 2)))
-    h = 1e-6 * stops[0] if (d0 < 1e-8 or d1 < 1e-8) else 0.01 * d0 / d1
-    t = 0.0
-    for t_stop in stops:
-        while t < t_stop:
-            if h < 1e-14 * max(1.0, t_stop):
-                raise StiffnessError(
-                    f"step size underflow at t={t:.6g} (h={h:.3e}); problem too stiff"
-                )
-            final = h >= t_stop - t
-            h_try = t_stop - t if final else h
-            ks = [k1]
-            for row in _DP_A:
-                stage = y + h_try * sum(c * k for c, k in zip(row, ks))
-                ks.append(f(stage))
-            y_new = y + h_try * sum(b * k for b, k in zip(_DP_B, ks) if b != 0.0)
-            k7 = f(y_new)
-            ks.append(k7)
-            err = h_try * sum(e * k for e, k in zip(_DP_E, ks) if e != 0.0)
-            ratio = _error_ratio(err, y, y_new)
-            if math.isfinite(ratio) and ratio <= 1.0:
-                t = t_stop if final else t + h_try
-                y = _hermitize(y_new)
-                check(y, t)
-                k1 = k7  # first-same-as-last reuse
-                factor = _MAX_FACTOR if ratio == 0.0 else _SAFETY * ratio ** -0.2
-            else:
-                # Step rejected: y and k1 stay valid, only h shrinks.
-                factor = _MIN_FACTOR if not math.isfinite(ratio) else _SAFETY * ratio ** -0.2
-            h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        yield y
-
-
 def evolve_trajectory(
     rho0: DensityMatrix, params: ChannelParams, times
 ) -> list[tuple[float, DensityMatrix]]:
@@ -245,11 +198,13 @@ def evolve_trajectory(
 
     `times` must be finite, nonnegative and nondecreasing; one integration
     from t = 0 passes through all of them, t = 0 returns rho0 itself and a
-    repeated time returns the same state again. Every accepted step is
-    checked for trace drift and, when the reservoir feeds photons, for
-    population building up at the cutoff; every returned state against the
-    invariant triple. A run that needs more than MAX_RHS_EVALS right-hand-side
-    evaluations raises StiffnessError.
+    repeated time returns the same state again. A step that would pass the
+    next sample time is shortened to end on it; the step size and the
+    first-same-as-last k1 carry on past every sample time. Every accepted
+    step is checked for trace drift and, when the reservoir feeds photons,
+    for population building up at the cutoff; every returned state against
+    the invariant triple. A run that needs more than MAX_RHS_EVALS
+    right-hand-side evaluations raises StiffnessError.
     """
     times = [float(t) for t in times]
     if not times:
@@ -265,33 +220,58 @@ def evolve_trajectory(
     rho0.validate(herm_tol=_EVOLVE_HERM_TOL, trace_tol=math.inf, psd_tol=_EVOLVE_PSD_TOL)
     y = np.array(rho0.entries, dtype=complex)
     _check_trace(y, 0.0)
-
-    rhs = _generator(rho0.dim, params)
-    feeds_photons = params.beta_rate > 0.0 or params.m_squeeze != 0
-    evals = 0
-
-    def f(rho: np.ndarray) -> np.ndarray:
-        nonlocal evals
-        evals += 1
-        if evals > MAX_RHS_EVALS:
-            raise StiffnessError(
-                f"gave up after {MAX_RHS_EVALS} right-hand-side evaluations short of "
-                f"t={t_goal:.6g} (gamma={params.gamma:.6g}, dim={rho0.dim}); stability "
-                "holds the step size down, the problem is too stiff for this integrator"
-            )
-        return rhs(rho)
-
-    def check(y: np.ndarray, t: float) -> None:
-        _check_trace(y, t)
-        if feeds_photons:
-            _check_cutoff(y, t, times[-1], rho0, params)
-
     states = {0.0: rho0}
     stops = sorted(set(times) - {0.0})
-    stepper = _integrate(f, y, stops, check)
-    # f reads t_goal, the stop the stepper is integrating toward.
-    for t_goal in stops:
-        states[t_goal] = DensityMatrix(next(stepper)).validate(
+    if not stops:
+        return [(t, rho0) for t in times]
+
+    f = _generator(rho0.dim, params)
+    feeds_photons = params.beta_rate > 0.0 or params.m_squeeze != 0
+    k1 = f(y)
+    evals = 1
+    # Initial step from the size of the state and its derivative.
+    scale = _ABS_TOL + _REL_TOL * np.abs(y)
+    d0 = float(np.sqrt(np.mean(np.abs(y / scale) ** 2)))
+    d1 = float(np.sqrt(np.mean(np.abs(k1 / scale) ** 2)))
+    h = 1e-6 * stops[0] if (d0 < 1e-8 or d1 < 1e-8) else 0.01 * d0 / d1
+    t = 0.0
+    for t_stop in stops:
+        while t < t_stop:
+            if h < 1e-14 * max(1.0, t_stop):
+                raise StiffnessError(
+                    f"step size underflow at t={t:.6g} (h={h:.3e}); problem too stiff"
+                )
+            if evals + 6 > MAX_RHS_EVALS:
+                raise StiffnessError(
+                    f"gave up after {MAX_RHS_EVALS} right-hand-side evaluations short of "
+                    f"t={t_stop:.6g} (gamma={params.gamma:.6g}, dim={rho0.dim}); stability "
+                    "holds the step size down, the problem is too stiff for this integrator"
+                )
+            final = h >= t_stop - t
+            h_try = t_stop - t if final else h
+            ks = [k1]
+            for row in _DP_A:
+                stage = y + h_try * sum(c * k for c, k in zip(row, ks))
+                ks.append(f(stage))
+            y_new = y + h_try * sum(b * k for b, k in zip(_DP_B, ks) if b != 0.0)
+            k7 = f(y_new)
+            evals += 6
+            ks.append(k7)
+            err = h_try * sum(e * k for e, k in zip(_DP_E, ks) if e != 0.0)
+            ratio = _error_ratio(err, y, y_new)
+            if math.isfinite(ratio) and ratio <= 1.0:
+                t = t_stop if final else t + h_try
+                y = 0.5 * (y_new + y_new.conj().T)
+                _check_trace(y, t)
+                if feeds_photons:
+                    _check_cutoff(y, t, times[-1], rho0, params)
+                k1 = k7  # first-same-as-last reuse
+                factor = _MAX_FACTOR if ratio == 0.0 else _SAFETY * ratio ** -0.2
+            else:
+                # Step rejected: y and k1 stay valid, only h shrinks.
+                factor = _MIN_FACTOR if not math.isfinite(ratio) else _SAFETY * ratio ** -0.2
+            h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        states[t_stop] = DensityMatrix(y).validate(
             herm_tol=_EVOLVE_HERM_TOL,
             trace_tol=_EVOLVE_TRACE_TOL,
             psd_tol=_EVOLVE_PSD_TOL,

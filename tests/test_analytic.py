@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bmc import (
     ChannelParams,
@@ -25,7 +27,7 @@ from bmc import (
     trace_distance,
     von_neumann_entropy,
 )
-from bmc import analytic, fock
+from bmc import analytic, capacity, fock
 from bmc.analytic import f_factor
 from oracles import (
     complex_sandwich_state,
@@ -257,3 +259,41 @@ class TestSuggestedDim:
         dim = analytic.suggested_dim(state)
         assert dim >= fock.suggested_dim(state.mean_photons(), state.photon_variance())
         assert dim >= fock.thermal_tail_dim(state.thermal_photons)
+
+
+def _finite(value) -> bool:
+    if isinstance(value, fock.DensityMatrix):
+        return bool(np.all(np.isfinite(value.entries)))
+    if isinstance(value, fock.StateVector):
+        return bool(np.all(np.isfinite(value.amplitudes))) and math.isfinite(value.truncation_loss)
+    return math.isfinite(value)
+
+
+class TestFiniteOrTypedError:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.floats(), re=st.floats(), im=st.floats())
+    @example(n=1e16, re=0.0, im=0.0)  # n / (1 + n) rounds to 1
+    @example(n=0.5, re=math.nan, im=0.0)
+    @example(n=0.0, re=1e200, im=0.0)  # |eta|^2 overflows
+    @example(n=math.inf, re=0.0, im=0.0)
+    @example(n=math.nan, re=0.0, im=0.0)
+    def test_truncation_helpers_and_closed_forms(self, n, re, im):
+        eta = complex(re, im)
+        calls = (
+            lambda: fock.thermal_tail_dim(n),
+            lambda: fock.suggested_dim(n, 1.0),
+            lambda: fock.thermal_state(n, 10),
+            lambda: coherent_state(eta, 20),
+            lambda: analytic.suggested_dim(GaussianChannelState(eta, n)),
+            lambda: to_density_matrix(GaussianChannelState(eta, n), 20),
+            lambda: capacity.fidelity_analytic(eta, REF, 1.0),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for call in calls:
+                try:
+                    value = call()
+                except Exception as exc:
+                    assert type(exc).__module__ == "bmc.errors", repr(exc)
+                else:
+                    assert _finite(value), value

@@ -27,7 +27,6 @@ from bmc import (
     optimal_nbar,
     theta,
     thermal_state,
-    thermal_tail_dim,
     to_density_matrix,
     von_neumann_entropy,
 )
@@ -100,7 +99,8 @@ class TestGEntropy:
         assert g_entropy(5.0) == pytest.approx(G_OF_FIVE, rel=1e-14)
 
     def test_matches_eigenvalue_entropy_of_thermal_state(self):
-        dim = max(60, thermal_tail_dim(5.0, 1e-12))
+        # thermal tail (5/6)^dim <= 1e-12, so the truncation cannot bias the check
+        dim = max(60, math.ceil(math.log(1e-12) / math.log(5.0 / 6.0)))
         assert von_neumann_entropy(thermal_state(5.0, dim)) == pytest.approx(
             g_entropy(5.0), abs=1e-8
         )

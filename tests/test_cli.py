@@ -14,7 +14,7 @@ from bmc import (
     capacity_point,
     optimal_nbar,
 )
-from bmc import cli
+from bmc import cli, lindblad
 from bmc.capacity import theta_at_nbar
 from bmc.cli import (
     EXIT_NO_OPTIMUM,
@@ -247,13 +247,36 @@ class TestValidate:
         # t=0 compares the input against itself
         origin = report.grid.index((0.0, 0.0))
         assert report.trace_distances[origin] < 1e-12
-        assert report.worst_case.max_trace_distance == max(report.trace_distances)
+
+    def test_worst_line_names_the_largest_deviations(self, capsys):
+        report = cli.ValidationReport(
+            grid=((0j, 0.5), (1 + 1j, 2.0), (0.5 + 0j, 5.0)),
+            trace_distances=(1e-9, 3e-9, 2e-9),
+            entropy_gaps=(4e-9, 1e-9, 2e-9),
+            point_passed=(True, True, True),
+        )
+        print_validation_table(report)
+        worst = capsys.readouterr().out.splitlines()[-2]
+        assert worst == (
+            "worst trace distance 3.000e-09 at (eta=1+1j, t=2); "
+            "worst entropy gap 4.000e-09 at (eta=0, t=0.5)"
+        )
 
     def test_truncation_error_suggests_dim(self, capsys):
         code = cli.main(["validate", "--etas", "2", "--times", "0.5", "--dim", "5"])
         assert code == EXIT_VALIDATION_FAILED
         err = capsys.readouterr().err
         assert "suggest dim" in err
+
+    def test_integrator_giving_up_fails_with_code_2(self, monkeypatch, capsys):
+        # a budget too small for one step stands in for a stiff channel
+        monkeypatch.setattr(lindblad, "MAX_RHS_EVALS", 6)
+        code = cli.main(["validate", "--etas", "0", "--times", "1", "--dim", "20"])
+        assert code == EXIT_VALIDATION_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "gave up after 6 right-hand-side evaluations short of t=1 " in captured.err
 
     def test_squeezed_reservoir_rejected(self, capsys):
         code = cli.main(["validate", "--m-re", "0.2", "--etas", "0", "--times", "0.1"])

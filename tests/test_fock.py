@@ -303,8 +303,8 @@ class TestVonNeumannEntropy:
 
     @pytest.mark.parametrize("x", [0.05, 0.5, 1.0, 2.0, 5.0])
     def test_thermal_entropy_matches_g(self, x):
-        # dim from the tail rule so the truncated tail cannot bias the check
-        dim = max(60, thermal_tail_dim(x, 1e-11))
+        # thermal tail (x / (1 + x))^dim <= 1e-11, so the truncation cannot bias the check
+        dim = max(60, math.ceil(math.log(1e-11) / math.log(x / (1.0 + x))))
         assert von_neumann_entropy(thermal_state(x, dim)) == pytest.approx(
             g_entropy(x), abs=1e-8
         )
@@ -455,6 +455,13 @@ class TestSpectrum:
         with pytest.raises(InvalidParameterError, match="unit modulus"):
             DensityMatrix._from_phased_real(1.01 * phases, real)
 
+    def test_phased_real_state_with_asymmetric_real_part_is_not_hermitian(self):
+        real = np.diag([0.5, 0.3, 0.2])
+        real[0, 1] = 1e-9
+        rho = DensityMatrix._from_phased_real(np.exp(1j * np.array([0.0, 0.7, 1.4])), real)
+        with pytest.raises(NotAStateError, match=r"not Hermitian: max deviation 1\.000e-09"):
+            rho.validate()
+
     def test_off_diagonal_entry_takes_the_solver(self):
         mat = np.diag([0.5, 0.5]).astype(complex)
         mat[0, 1] = mat[1, 0] = 0.5
@@ -478,15 +485,13 @@ class TestTruncationHelpers:
 
     def test_thermal_tail_dim_bounds_tail(self):
         n_th = 2.0
-        dim = thermal_tail_dim(n_th, 1e-9)
+        dim = thermal_tail_dim(n_th)
         ratio = n_th / (1.0 + n_th)
         assert ratio**dim <= 1e-9 < ratio ** (dim - 2)
 
     def test_invalid_arguments(self):
         with pytest.raises(InvalidParameterError):
             suggested_dim(-1.0, 0.0)
-        with pytest.raises(InvalidParameterError):
-            thermal_tail_dim(0.5, 2.0)
 
 
 def test_import_leaves_scipy_unloaded():
