@@ -51,15 +51,14 @@ def _check_time(t: float) -> float:
 
 
 def beta_t(params: ChannelParams, t: float) -> float:
-    """Accumulated thermal occupation (beta/gamma)(1 - e^{-gamma t})."""
+    """Accumulated thermal occupation (beta/gamma)(1 - e^{-gamma t}), for M = 0 only.
+
+    Every closed form goes through here, so this is its one squeezing check.
+    """
     t = _check_time(t)
+    if params.m_squeeze != 0:
+        raise InvalidParameterError(f"closed forms need m_squeeze = 0, got {params.m_squeeze}")
     return (params.beta_rate / params.gamma) * -math.expm1(-params.gamma * t)
-
-
-def f_factor(params: ChannelParams, t: float) -> float:
-    """Damping factor e^{-gamma t / 2} / (1 + beta(t))."""
-    t = _check_time(t)
-    return math.exp(-0.5 * params.gamma * t) / (1.0 + beta_t(params, t))
 
 
 def evolve_coherent_analytic(

@@ -190,25 +190,37 @@ def _check_amplitude(eta) -> complex:
     return eta
 
 
+# log n! - log(sqrt(2 pi n) (n/e)^n) for n = 1..15, short of which the
+# Stirling series in `_lost_weight` is not exact to a double.
+_STIRLING_SMALL = np.log(
+    [math.factorial(n) / n**n * math.exp(n) / math.sqrt(2.0 * math.pi * n) for n in range(1, 16)]
+)
+
+
 def _lost_weight(eta: complex, dim: int) -> float:
-    # One minus the Poisson mass e^{-x} x^n / n! (x = |eta|^2) of the kept
-    # levels, as one running product; splitting e^{-x} into two halves keeps
-    # the partial products finite up to x ~ 1400, where the amplitudes'
-    # own e^{-x/2} underflows.
+    # One minus the Poisson mass p_n = e^{-x} x^n / n! (x = |eta|^2) of the kept
+    # levels, in Loader's saddle-point log form log p_n = -log sqrt(2 pi n) - s(n)
+    # - n (u - log1p(u)), u = (x - n) / n, s(n) the Stirling correction: its terms
+    # stay O(1) near the mode, so no weight overflows or loses eps x log x.
     x = abs(eta) ** 2
-    half = math.exp(-0.5 * x)
-    steps = np.empty(dim)
-    steps[0] = half
-    steps[1:] = x / np.arange(1, dim)
-    return max(0.0, 1.0 - half * float(np.sum(np.cumprod(steps))))
+    n = np.arange(1.0, dim)
+    u = (x - n) / n
+    r = 1.0 / (n * n)
+    s = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / n
+    s[:15] = _STIRLING_SMALL[: dim - 1]
+    with np.errstate(divide="ignore"):  # x = 0: log1p(-1) = -inf, weight 0
+        log_mass = -(0.5 * np.log(2.0 * math.pi * n) + s + n * (u - np.log1p(u)))
+    return max(0.0, 1.0 - math.exp(-x) - float(np.sum(np.exp(log_mass))))
 
 
 def _coherent_amplitudes(eta: complex, dim: int) -> tuple[np.ndarray, float]:
-    # Stable recurrence c_n = c_{n-1} * eta / sqrt(n) starting from the
-    # vacuum overlap, instead of eta**n / sqrt(n!) which overflows early.
+    # Stable recurrence c_n = c_{n-1} * eta / sqrt(n) from the vacuum overlap
+    # (eta**n / sqrt(n!) overflows), which must be a normal double to carry digits.
     eta = _check_amplitude(eta)
     c = np.empty(dim, dtype=complex)
-    c[0] = math.exp(-0.5 * abs(eta) ** 2)
+    c[0] = vacuum = math.exp(-0.5 * abs(eta) ** 2)
+    if vacuum < np.finfo(float).tiny:
+        raise InvalidParameterError(f"coherent amplitudes underflow at |eta|^2 > 1416, got {eta}")
     for n in range(1, dim):
         c[n] = c[n - 1] * eta / math.sqrt(n)
     return c, _lost_weight(eta, dim)

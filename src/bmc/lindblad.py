@@ -51,7 +51,8 @@ class ChannelParams:
     beta_rate  -- thermal noise rate (1/s); the reservoir mean occupation is
                   beta_rate / gamma.
     m_squeeze  -- reservoir squeezing parameter, bounded by the physicality
-                  condition |M|^2 <= N(N+1).
+                  condition |M|^2 <= N(N+1). Only the integrator uses it; every
+                  closed form raises InvalidParameterError for M != 0.
     n_bar      -- mean photon number of the input ensemble (dimensionless).
     """
 

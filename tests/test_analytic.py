@@ -28,7 +28,6 @@ from bmc import (
     von_neumann_entropy,
 )
 from bmc import analytic, capacity, fock
-from bmc.analytic import f_factor
 from oracles import (
     complex_sandwich_state,
     expm_displacement,
@@ -63,29 +62,6 @@ class TestBetaT:
     def test_negative_time_rejected(self):
         with pytest.raises(InvalidTimeError):
             beta_t(REF, -0.1)
-
-
-class TestFFactor:
-    def test_unit_at_zero_time(self):
-        assert f_factor(REF, 0.0) == 1.0
-
-    def test_pure_loss_case(self):
-        params = ChannelParams(gamma=0.1, beta_rate=0.0)
-        assert f_factor(params, 2.0) == pytest.approx(math.exp(-0.1), rel=1e-14)
-
-    def test_reference_value(self):
-        assert f_factor(REF, 1.0) == pytest.approx(
-            math.exp(-0.05) / (1.0 + BETA_AT_REF), rel=1e-14
-        )
-
-    def test_in_unit_interval_and_nonincreasing(self):
-        values = [f_factor(REF, t) for t in np.linspace(0.0, 80.0, 300)]
-        assert all(0.0 < v <= 1.0 for v in values)
-        assert all(v2 <= v1 for v1, v2 in zip(values, values[1:]))
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(InvalidTimeError):
-            f_factor(REF, -1e-9)
 
 
 class TestEvolveCoherentAnalytic:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 from dataclasses import replace
@@ -12,6 +13,7 @@ import bmc
 from bmc import (
     CapacityPoint,
     ChannelParams,
+    GaussianChannelState,
     InvalidParameterError,
     InvalidTimeError,
     average_fidelity,
@@ -31,7 +33,7 @@ from bmc import (
     von_neumann_entropy,
 )
 from bmc import analytic, capacity
-from bmc.capacity import theta_at_nbar
+from bmc.capacity import OptimalSignalResult, theta_at_nbar
 from oracles import gauss_laguerre_scalar_average, golden_section_maximize
 
 REF = ChannelParams(gamma=0.1, beta_rate=0.01, n_bar=5.0)
@@ -479,8 +481,70 @@ class TestCriterionResidual:
             criterion_residual(1.0, REF, 0.0)
 
 
+# Every closed form, as a call with channel params and time.
+CLOSED_FORMS = {
+    "beta_t": beta_t,
+    "evolve_coherent_analytic": lambda p, t: evolve_coherent_analytic(1 + 1j, p, t),
+    "ensemble_average_state": ensemble_average_state,
+    "channel_capacity": channel_capacity,
+    "average_fidelity": average_fidelity,
+    "fidelity_analytic": lambda p, t: fidelity_analytic(1 + 1j, p, t),
+    "theta": theta,
+    "theta_at_nbar": lambda p, t: theta_at_nbar(p, t, 2.0),
+    "theta_curve": lambda p, t: capacity.theta_curve(p, t, (0.5, 2.0, 8.0)),
+    "capacity_point": capacity_point,
+    "optimal_nbar": optimal_nbar,
+    "criterion_residual": lambda p, t: criterion_residual(2.0, p, t),
+}
+
+# Each closed form at REF and t = 1.5, recorded before the M = 0 check existed.
+UNSQUEEZED_VALUES = {
+    "beta_t": 0.013929202357494222,
+    "evolve_coherent_analytic": GaussianChannelState(
+        0.9277434863285529 + 0.9277434863285529j, 0.013929202357494222
+    ),
+    "ensemble_average_state": GaussianChannelState(0j, 4.317469084482783),
+    "channel_capacity": 3.6022530893192584,
+    "average_fidelity": 0.9615068231589841,
+    "fidelity_analytic": 0.97615720052737,
+    "theta": 3.463590924125996,
+    "theta_at_nbar": 2.425740394517113,
+    "theta_curve": [1.1606754490694613, 2.425740394517113, 4.000126809099048],
+    "capacity_point": CapacityPoint(1.5, 3.6022530893192584, 0.9615068231589841, 3.463590924125996),
+    "optimal_nbar": OptimalSignalResult(
+        51.35560320992573, 5.31900598316051, 0.001287420667255554, True, True
+    ),
+    "criterion_residual": -0.6561395284305657,
+}
+
+
+class TestUnsqueezedReservoirOnly:
+    """The closed forms are derived for M = 0 and refuse any other M."""
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        gamma=st.floats(1e-2, 10.0),
+        beta=st.floats(1e-3, 10.0),
+        fraction=st.floats(1e-9, 1.0),
+        angle=st.floats(0.0, 2.0 * math.pi),
+        t=st.floats(1e-2, 50.0),
+    )
+    def test_squeezed_reservoir_is_refused(self, name, gamma, beta, fraction, angle, t):
+        # any admissible M != 0: |M|^2 <= N(N+1)
+        n_res = beta / gamma
+        m = fraction * math.sqrt(n_res * (n_res + 1.0)) * cmath.exp(1j * angle)
+        params = ChannelParams(gamma=gamma, beta_rate=beta, m_squeeze=m, n_bar=5.0)
+        with pytest.raises(InvalidParameterError, match="m_squeeze"):
+            CLOSED_FORMS[name](params, t)
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_unsqueezed_values_unchanged(self, name):
+        params = replace(REF, m_squeeze=0j)
+        assert CLOSED_FORMS[name](params, 1.5) == UNSQUEEZED_VALUES[name]
+
+
 def test_helpers_stay_out_of_the_package_namespace():
     # perfbench traces capacity.theta_at_nbar by module attribute
-    for name in ("f_factor", "theta_at_nbar"):
-        assert name not in bmc.__all__ and not hasattr(bmc, name)
-    assert callable(analytic.f_factor) and callable(capacity.theta_at_nbar)
+    assert "theta_at_nbar" not in bmc.__all__ and not hasattr(bmc, "theta_at_nbar")
+    assert callable(capacity.theta_at_nbar)

@@ -278,10 +278,15 @@ class TestValidate:
         assert captured.err.count("\n") == 1
         assert "gave up after 6 right-hand-side evaluations short of t=1 " in captured.err
 
-    def test_squeezed_reservoir_rejected(self, capsys):
-        code = cli.main(["validate", "--m-re", "0.2", "--etas", "0", "--times", "0.1"])
-        assert code == EXIT_USAGE
-        assert "m_squeeze" in capsys.readouterr().err
+    def test_squeezed_reservoir_refused_before_integrating(self, monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated a channel the closed forms cannot check")
+
+        monkeypatch.setattr(lindblad, "evolve_trajectory", no_integration)
+        with pytest.raises(InvalidParameterError, match="m_squeeze"):
+            run_validation(
+                ChannelParams(0.1, 0.01, m_squeeze=0.2), etas=(0.0,), times=(0.1,), dim=10
+            )
 
     def test_impossible_threshold_fails_with_code_2(self, capsys):
         code = cli.main(
@@ -410,12 +415,34 @@ class TestMisuse:
         assert code == EXIT_USAGE
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--m-re", "--m-im"])
-    def test_nonfinite_squeezing_is_usage_error(self, flag, tmp_path):
-        out = tmp_path / "x.csv"
-        code = cli.main(["sweep", "--preset", "fig1", flag, "nan", "--out", str(out)])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--preset", "fig1", "--out", "out.csv"],
+            ["validate", "--etas", "0", "--times", "0.1", "--dim", "10"],
+            ["optimal", "--t", "1", "--curve", "--out", "out.csv"],
+        ],
+        ids=["sweep", "validate", "optimal"],
+    )
+    def test_squeezing_setting_is_usage_error(self, argv, source, tmp_path, capsys):
+        # the command line has no reservoir squeezing: a leftover one is refused
+        argv = [str(tmp_path / a) if a == "out.csv" else a for a in argv]
+        if source == "flag":
+            argv += ["--m-re", "0.2"]
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text("gamma = 0.1\nm_re = 0.2\n")
+            argv += ["--config", str(conf)]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses an unknown flag
+            code = exc.code
         assert code == EXIT_USAGE
-        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("--m-re" if source == "flag" else "unknown key 'm_re'") in captured.err
+        assert list(tmp_path.glob("*.csv")) == []
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("flag", ["--trace-tol", "--entropy-tol"])
