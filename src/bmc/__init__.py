@@ -23,7 +23,6 @@ from .capacity import (
     fidelity_analytic,
     g_entropy,
     optimal_nbar,
-    theta,
 )
 from .errors import (
     ConfigError,
@@ -100,7 +99,6 @@ __all__ = [
     "optimal_nbar",
     "projector",
     "suggested_dim",
-    "theta",
     "thermal_state",
     "thermal_tail_dim",
     "to_density_matrix",

@@ -34,14 +34,6 @@ class GaussianChannelState:
                 f"thermal occupation must be >= 0, got {self.thermal_photons}"
             )
 
-    def mean_photons(self) -> float:
-        return abs(self.displacement) ** 2 + self.thermal_photons
-
-    def photon_variance(self) -> float:
-        d_sq = abs(self.displacement) ** 2
-        n_th = self.thermal_photons
-        return d_sq * (2.0 * n_th + 1.0) + n_th * (n_th + 1.0)
-
 
 def _check_time(t: float) -> float:
     t = float(t)

@@ -125,11 +125,6 @@ def average_fidelity(params: ChannelParams, t: float) -> float:
     return 1.0 / (1.0 + bt + params.n_bar * damping)
 
 
-def theta(params: ChannelParams, t: float) -> float:
-    """Fidelity-capacity product average_fidelity * channel_capacity."""
-    return theta_at_nbar(params, t, params.n_bar)
-
-
 def theta_at_nbar(params: ChannelParams, t: float, n_bar: float) -> float:
     """Theta with the ensemble mean replaced by n_bar."""
     return theta_curve(params, t, (n_bar,))[0]

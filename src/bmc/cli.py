@@ -33,6 +33,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
     InvalidTimeError,
+    NotAStateError,
     StiffnessError,
     TruncationError,
 )
@@ -460,7 +461,7 @@ def _run_validate(args) -> int:
     except TruncationError as exc:
         print(f"truncation insufficient: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_FAILED
-    except StiffnessError as exc:
+    except (StiffnessError, NotAStateError) as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_FAILED
     print_validation_table(report)

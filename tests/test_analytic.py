@@ -233,8 +233,10 @@ class TestSuggestedDim:
     def test_covers_moments_and_tail(self):
         state = GaussianChannelState(2.0, 3.0)
         dim = analytic.suggested_dim(state)
-        assert dim >= fock.suggested_dim(state.mean_photons(), state.photon_variance())
-        assert dim >= fock.thermal_tail_dim(state.thermal_photons)
+        d_sq, n_th = abs(state.displacement) ** 2, state.thermal_photons
+        mean, variance = d_sq + n_th, d_sq * (2.0 * n_th + 1.0) + n_th * (n_th + 1.0)
+        assert dim >= fock.suggested_dim(mean, variance)
+        assert dim >= fock.thermal_tail_dim(n_th)
 
 
 def _finite(value) -> bool:

@@ -27,7 +27,6 @@ from bmc import (
     fidelity_with_coherent,
     g_entropy,
     optimal_nbar,
-    theta,
     thermal_state,
     to_density_matrix,
     von_neumann_entropy,
@@ -249,13 +248,13 @@ class TestFidelity:
 
 class TestTheta:
     def test_zero_signal_gives_zero(self):
-        assert theta(replace(REF, n_bar=0.0), 1.0) == 0.0
+        assert capacity_point(replace(REF, n_bar=0.0), 1.0).theta == 0.0
 
     def test_zero_time_equals_g(self):
-        assert theta(REF, 0.0) == pytest.approx(g_entropy(REF.n_bar), abs=1e-12)
+        assert capacity_point(REF, 0.0).theta == pytest.approx(g_entropy(REF.n_bar), abs=1e-12)
 
     def test_equals_product(self):
-        val = theta(REF, 1.0)
+        val = capacity_point(REF, 1.0).theta
         assert abs(val - average_fidelity(REF, 1.0) * channel_capacity(REF, 1.0)) < 1e-12
 
     def test_vanishes_for_huge_signal(self):
@@ -489,7 +488,6 @@ CLOSED_FORMS = {
     "channel_capacity": channel_capacity,
     "average_fidelity": average_fidelity,
     "fidelity_analytic": lambda p, t: fidelity_analytic(1 + 1j, p, t),
-    "theta": theta,
     "theta_at_nbar": lambda p, t: theta_at_nbar(p, t, 2.0),
     "theta_curve": lambda p, t: capacity.theta_curve(p, t, (0.5, 2.0, 8.0)),
     "capacity_point": capacity_point,
@@ -507,7 +505,6 @@ UNSQUEEZED_VALUES = {
     "channel_capacity": 3.6022530893192584,
     "average_fidelity": 0.9615068231589841,
     "fidelity_analytic": 0.97615720052737,
-    "theta": 3.463590924125996,
     "theta_at_nbar": 2.425740394517113,
     "theta_curve": [1.1606754490694613, 2.425740394517113, 4.000126809099048],
     "capacity_point": CapacityPoint(1.5, 3.6022530893192584, 0.9615068231589841, 3.463590924125996),

@@ -11,6 +11,7 @@ from bmc import (
     ConfigError,
     InvalidParameterError,
     InvalidTimeError,
+    NotAStateError,
     capacity_point,
     optimal_nbar,
 )
@@ -277,6 +278,17 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "gave up after 6 right-hand-side evaluations short of t=1 " in captured.err
+
+    def test_integrated_non_state_fails_with_code_2(self, monkeypatch, capsys):
+        def not_a_state(*args, **kwargs):
+            raise NotAStateError("trace deviates from 1 by 1.000e-03 > 1.0e-09")
+
+        monkeypatch.setattr(lindblad, "evolve_trajectory", not_a_state)
+        code = cli.main(["validate", "--etas", "0", "--times", "1", "--dim", "20"])
+        assert code == EXIT_VALIDATION_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "integration failed: trace deviates from 1 by 1.000e-03 > 1.0e-09\n"
 
     def test_squeezed_reservoir_refused_before_integrating(self, monkeypatch):
         def no_integration(*args, **kwargs):

@@ -100,30 +100,25 @@ class TestCoherentState:
         "eta, dim",
         [(0.1, 2), (0.5, 5), (1 + 1j, 10), (2.0, 20), (3 - 4j, 50), (7.0, 100),
          (10j, 175), (20.0, 400), (26.0, 700), (31.6, 1300),
-         # past |eta|^2 ~ 1420 e^{-x/2} x^n / n! overflows a double, past ~ 1490
-         # e^{-x/2} underflows, and a loss of 1 stays 1 far beyond both
-         (math.sqrt(1450), 1300), (math.sqrt(1450), 1500), (math.sqrt(2000), 3000), (1e3, 50)],
+         # past |eta|^2 ~ 1416 e^{-x/2} is subnormal, past ~ 1420 e^{-x/2} x^n / n!
+         # overflows a double, past ~ 1490 e^{-x/2} underflows, and a loss of 1
+         # stays 1 far beyond all three
+         (math.sqrt(1416.0), 1700), (math.sqrt(1450), 1300), (math.sqrt(1450), 1500),
+         (math.sqrt(2000), 3000), (1e3, 50)],
     )
     def test_loss_is_the_poisson_tail(self, eta, dim):
-        # weight beyond dim-1 of a Poisson law of mean |eta|^2, in 50 digits
+        # Poisson law p_n of mean |eta|^2, its weight beyond dim-1 and the
+        # amplitudes sqrt(p_n) e^{i n phi}, all in 50 digits
         with mpmath.workdps(50):
             x = mpmath.mpf(abs(eta)) ** 2
-            tail = 1 - mpmath.exp(-x) * mpmath.fsum(x**n / mpmath.factorial(n) for n in range(dim))
+            phi = mpmath.arg(mpmath.mpc(eta))
+            mass = [mpmath.exp(-x) * x**n / mpmath.factorial(n) for n in range(dim)]
+            tail = 1 - mpmath.fsum(mass)
+            exact = np.array([complex(mpmath.sqrt(p) * mpmath.expj(n * phi)) for n, p in enumerate(mass)])
         assert abs(coherent_truncation_loss(eta, dim) - float(tail)) <= 1e-14
-
-    def test_amplitudes_refused_once_the_vacuum_overlap_is_subnormal(self):
-        # e^{-|eta|^2/2} is a normal double up to |eta|^2 ~ 1416.8; beyond it the
-        # recurrence starts from too few digits (from zero past ~1490)
-        state = coherent_state(math.sqrt(1416.0), 1700)
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
-        calls = (
-            lambda: coherent_state(math.sqrt(1417.0), 1700),
-            lambda: coherent_state(math.sqrt(2000.0), 3000),
-            lambda: fidelity_with_coherent(thermal_state(0.5, 20), math.sqrt(1417.0)),
-        )
-        for call in calls:
-            with pytest.raises(InvalidParameterError, match="underflow"):
-                call()
+        amps, loss = fock._coherent_amplitudes(eta, dim)
+        assert np.max(np.abs(amps - exact)) <= 1e-15
+        assert abs(float(np.sum(np.abs(amps) ** 2)) + loss - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("eta", [math.nan, math.inf, complex(0.5, math.nan), -math.inf])
     def test_nonfinite_amplitude_rejected(self, eta):
