@@ -218,13 +218,15 @@ def run_validation(
     for name, tol in (("trace_tol", trace_tol), ("entropy_tol", entropy_tol)):
         if not (math.isfinite(tol) and tol >= 0.0):
             raise InvalidParameterError(f"{name} must be finite and >= 0, got {tol}")
+    inputs = []
     for eta in etas:
-        loss = fock.coherent_truncation_loss(eta, dim)
+        rho0, loss = fock._coherent_projector(eta, dim)
         if loss > fock.COHERENT_LOSS_TOL:
             raise TruncationError(
                 f"input |{eta}> loses weight {loss:.3e} at dim={dim}; "
                 f"suggest dim >= {fock._displaced_thermal_dim(eta, 0.0)}"
             )
+        inputs.append(rho0)
 
     ordered_times = sorted(set(times))
     # The closed forms raise here (M != 0) before any integration starts.
@@ -232,8 +234,7 @@ def run_validation(
     grid: list[tuple[complex, float]] = []
     tds: list[float] = []
     gaps: list[float] = []
-    for eta in etas:
-        rho0 = fock.projector(fock.coherent_state(eta, dim))
+    for eta, rho0 in zip(etas, inputs):
         trajectory = dict(lindblad.evolve_trajectory(rho0, params, ordered_times))
         for t in times:
             numeric = trajectory[t]

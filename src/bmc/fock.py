@@ -41,6 +41,11 @@ _ENTROPY_FLOOR = 1e-14
 # Thermal tail weight `thermal_tail_dim` leaves beyond the cutoff.
 _TAIL_WEIGHT = 1e-9
 
+# Per-level phase mismatch up to which `trace_distance` compares two
+# (phases, R) states by their real parts: the closed-form output phases carry
+# up to about dim * eps of round-off against those of the coherent input.
+_PHASE_MATCH_TOL = 4.0 * np.finfo(float).eps
+
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -51,9 +56,11 @@ class DensityMatrix:
     """
 
     entries: np.ndarray
-    # Real symmetric R with entries = Q R Q+ for a diagonal unitary Q, when
-    # the state was built that way (see `_from_phased_real`); else None.
+    # Real symmetric R and the diagonal of the unitary Q with entries = Q R Q+,
+    # when the state was built that way (see `_from_phased_real`); else None.
+    # Both are read-only.
     _real: np.ndarray | None = field(default=None, init=False, repr=False)
+    _phases: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         mat = np.array(self.entries, dtype=complex)
@@ -72,13 +79,14 @@ class DensityMatrix:
         disagree, and `spectrum` diagonalizes the read-only R, which has
         the same eigenvalues because Q is unitary.
         """
-        phases = np.asarray(phases, dtype=complex)
+        phases = np.array(phases, dtype=complex)
         if not np.all(np.abs(np.abs(phases) - 1.0) <= 1e-12):
             raise InvalidParameterError("phases of a diagonal unitary must have unit modulus")
         real = np.array(real, dtype=float)
         rho = cls(real * np.outer(phases, phases.conj()))
-        real.setflags(write=False)
-        object.__setattr__(rho, "_real", real)
+        for arr, name in ((real, "_real"), (phases, "_phases")):
+            arr.setflags(write=False)
+            object.__setattr__(rho, name, arr)
         return rho
 
     @property
@@ -223,6 +231,18 @@ def _coherent_amplitudes(eta: complex, dim: int) -> tuple[np.ndarray, float]:
     eta = _check_amplitude(eta)
     mass = _poisson_mass(abs(eta) ** 2, dim)
     return np.sqrt(mass) * _displacement_phases(eta, dim), _lost_weight(mass)
+
+
+def _coherent_projector(eta: complex, dim: int) -> tuple[DensityMatrix, float]:
+    # |eta><eta| / <eta|eta> as (phases, outer(sqrt p, sqrt p) / sum p), and the
+    # weight the same Poisson mass p leaves beyond the cutoff; not validated.
+    eta, dim = _check_amplitude(eta), _check_dim(dim)
+    mass = _poisson_mass(abs(eta) ** 2, dim)
+    root = np.sqrt(mass)
+    rho = DensityMatrix._from_phased_real(
+        _displacement_phases(eta, dim), np.outer(root, root) / np.sum(mass)
+    )
+    return rho, _lost_weight(mass)
 
 
 def coherent_truncation_loss(eta: complex, dim: int) -> float:
@@ -432,13 +452,28 @@ def fidelity_with_coherent(rho: DensityMatrix, eta: complex) -> float:
 
 
 def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
-    """Half the trace norm of rho1 - rho2."""
+    """Half the trace norm of rho1 - rho2.
+
+    When both states are kept as (phases, R) and their phases q1, q2 agree
+    to within dim * _PHASE_MATCH_TOL, this is half the trace norm of the
+    real R1 - R2. With Q1 = Q2 diag(delta) that differs from the exact value
+    by at most max |delta_n - 1| ||R1||_1 = max |q1_n - q2_n| (||R1||_1 = 1
+    for a state): the phase mismatch, the same order as the round-off of the
+    complex difference of the entries.
+    """
     if rho1.dim != rho2.dim:
         raise DimensionMismatchError(
             f"trace distance between dim {rho1.dim} and dim {rho2.dim} states"
         )
-    evals = np.linalg.eigvalsh(rho1.entries - rho2.entries)
-    return float(0.5 * np.sum(np.abs(evals)))
+    if (
+        rho1._phases is not None
+        and rho2._phases is not None
+        and np.max(np.abs(rho1._phases - rho2._phases)) <= _PHASE_MATCH_TOL * rho1.dim
+    ):
+        diff = rho1._real - rho2._real
+    else:
+        diff = rho1.entries - rho2.entries
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
 def mean_photon_number(rho: DensityMatrix) -> float:

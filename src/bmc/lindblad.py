@@ -10,6 +10,7 @@ right-hand-side evaluations and checks every accepted step in place.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,8 @@ from .errors import (
     TruncationError,
 )
 from .fock import DensityMatrix, _displaced_thermal_dim, mean_photon_number
+
+_log = logging.getLogger("bmc")
 
 # Trace drift beyond this level means the representation lost physical weight.
 TRACE_DRIFT_LIMIT = 1e-6
@@ -160,7 +163,9 @@ _MAX_FACTOR = 5.0
 
 def _error_ratio(err, y_old, y_new):
     scale = _ABS_TOL + _REL_TOL * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+    # |err| / scale, not |err / scale|: a complex / float division rounds
+    # differently, and the real and complex routes must take the same steps.
+    return float(np.sqrt(np.mean((np.abs(err) / scale) ** 2)))
 
 
 def _check_trace(y: np.ndarray, t: float) -> None:
@@ -200,12 +205,21 @@ def evolve_trajectory(
     `times` must be finite, nonnegative and nondecreasing; one integration
     from t = 0 passes through all of them, t = 0 returns rho0 itself and a
     repeated time returns the same state again. A step that would pass the
-    next sample time is shortened to end on it; the step size and the
-    first-same-as-last k1 carry on past every sample time. Every accepted
-    step is checked for trace drift and, when the reservoir feeds photons,
-    for population building up at the cutoff; every returned state against
-    the invariant triple. A run that needs more than MAX_RHS_EVALS
-    right-hand-side evaluations raises StiffnessError.
+    next sample time is shortened to end on it; the step size (the larger of
+    the one proposed before the shortening and the one after the landing
+    step) and the first-same-as-last k1 carry on past every sample time.
+    Every accepted step is checked for trace drift and, when the reservoir
+    feeds photons, for population building up at the cutoff; every returned
+    state against the invariant triple. A run that needs more than
+    MAX_RHS_EVALS right-hand-side evaluations raises StiffnessError.
+
+    For M = 0 the generator has real coefficients and commutes with
+    Q = diag(q0 z^n), so an input kept as (phases, R) with such phases (a
+    displaced thermal state, or a coherent input of `bmc validate`) is
+    integrated as the real R, and every output is the same Q around R_t. The error ratio is the same
+    on both routes, since |(Q E Q+)_mn| = |E_mn|. Each integrated trajectory
+    logs its route, right-hand-side evaluations and accepted and rejected
+    steps at DEBUG on the "bmc" logger.
     """
     times = [float(t) for t in times]
     if not times:
@@ -219,7 +233,14 @@ def evolve_trajectory(
         previous = t
 
     rho0.validate(herm_tol=_EVOLVE_HERM_TOL, trace_tol=math.inf, psd_tol=_EVOLVE_PSD_TOL)
-    y = np.array(rho0.entries, dtype=complex)
+    # For M = 0 the generator commutes with Q = diag(q0 z^n): geometric phases only.
+    steps = None if rho0._phases is None else rho0._phases[1:] * rho0._phases[:-1].conj()
+    real = (
+        steps is not None
+        and params.m_squeeze == 0
+        and bool(np.all(np.abs(steps - steps[:1]) <= 1e-12))
+    )
+    y = np.array(rho0._real, dtype=float) if real else np.array(rho0.entries, dtype=complex)
     _check_trace(y, 0.0)
     states = {0.0: rho0}
     stops = sorted(set(times) - {0.0})
@@ -229,16 +250,18 @@ def evolve_trajectory(
     f = _generator(rho0.dim, params)
     feeds_photons = params.beta_rate > 0.0 or params.m_squeeze != 0
     k1 = f(y)
-    evals = 1
-    # Initial step from the size of the state and its derivative.
+    evals, accepted, rejected = 1, 0, 0
+    # Initial step from the size of the state and its derivative; a state that
+    # does not move tries one step to the last sample time.
     scale = _ABS_TOL + _REL_TOL * np.abs(y)
-    d0 = float(np.sqrt(np.mean(np.abs(y / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean(np.abs(k1 / scale) ** 2)))
-    h = 1e-6 * stops[0] if (d0 < 1e-8 or d1 < 1e-8) else 0.01 * d0 / d1
+    d0 = float(np.sqrt(np.mean((np.abs(y) / scale) ** 2)))
+    d1 = float(np.sqrt(np.mean((np.abs(k1) / scale) ** 2)))
+    h = stops[-1] if (d0 < 1e-8 or d1 < 1e-8) else 0.01 * d0 / d1
     t = 0.0
     for t_stop in stops:
         while t < t_stop:
-            if h < 1e-14 * max(1.0, t_stop):
+            # A step that lands on a tiny sample time is no underflow.
+            if h < 1e-14 * max(1.0, t_stop) and h < t_stop - t:
                 raise StiffnessError(
                     f"step size underflow at t={t:.6g} (h={h:.3e}); problem too stiff"
                 )
@@ -260,7 +283,9 @@ def evolve_trajectory(
             ks.append(k7)
             err = h_try * sum(e * k for e, k in zip(_DP_E, ks) if e != 0.0)
             ratio = _error_ratio(err, y, y_new)
-            if math.isfinite(ratio) and ratio <= 1.0:
+            ok = math.isfinite(ratio) and ratio <= 1.0
+            if ok:
+                accepted += 1
                 t = t_stop if final else t + h_try
                 y = 0.5 * (y_new + y_new.conj().T)
                 _check_trace(y, t)
@@ -270,13 +295,26 @@ def evolve_trajectory(
                 factor = _MAX_FACTOR if ratio == 0.0 else _SAFETY * ratio ** -0.2
             else:
                 # Step rejected: y and k1 stay valid, only h shrinks.
+                rejected += 1
                 factor = _MIN_FACTOR if not math.isfinite(ratio) else _SAFETY * ratio ** -0.2
-            h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        states[t_stop] = DensityMatrix(y).validate(
+            h_next = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            # An accepted step shortened to land on t_stop keeps the size
+            # proposed before the shortening, when that is larger.
+            h = max(h, h_next) if ok and h_try < h else h_next
+        if real:
+            state = DensityMatrix._from_phased_real(rho0._phases, y)
+        else:
+            state = DensityMatrix(y)
+        states[t_stop] = state.validate(
             herm_tol=_EVOLVE_HERM_TOL,
             trace_tol=_EVOLVE_TRACE_TOL,
             psd_tol=_EVOLVE_PSD_TOL,
         )
+    _log.debug(
+        "evolve_trajectory: %s route, dim %d, %d right-hand-side evaluations, "
+        "%d accepted and %d rejected steps",
+        "real" if real else "complex", rho0.dim, evals, accepted, rejected,
+    )
     return [(t, states[t]) for t in times]
 
 

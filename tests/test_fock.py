@@ -120,6 +120,24 @@ class TestCoherentState:
         assert np.max(np.abs(amps - exact)) <= 1e-15
         assert abs(float(np.sum(np.abs(amps) ** 2)) + loss - 1.0) <= 1e-15
 
+    @pytest.mark.parametrize("eta, dim", [(0, 10), (0.5, 20), (1 + 1j, 30), (-2j, 40), (3.0, 12)])
+    def test_projector_builder_matches_the_plain_projector(self, eta, dim):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            plain = projector(coherent_state(eta, dim))
+        rho, loss = fock._coherent_projector(eta, dim)
+        assert loss == coherent_truncation_loss(eta, dim)
+        assert np.max(np.abs(rho.entries - plain.entries)) <= 1e-15
+        assert np.array_equal(rho._phases, fock._displacement_phases(complex(eta), dim))
+        assert rho._real.dtype == np.float64 and np.array_equal(rho._real, rho._real.T)
+        assert not rho._phases.flags.writeable and not rho._real.flags.writeable
+
+    def test_projector_builder_rejects_bad_input(self):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            fock._coherent_projector(math.nan, 10)
+        with pytest.raises(InvalidDimensionError):
+            fock._coherent_projector(0.5, 1)
+
     @pytest.mark.parametrize("eta", [math.nan, math.inf, complex(0.5, math.nan), -math.inf])
     def test_nonfinite_amplitude_rejected(self, eta):
         # max(0.0, nan) is 0.0, so a NaN amplitude would otherwise report no loss
@@ -374,6 +392,50 @@ class TestTraceDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             trace_distance(thermal_state(0.1, 10), thermal_state(0.1, 12))
+        with pytest.raises(DimensionMismatchError):
+            trace_distance(fock._coherent_projector(0.5, 10)[0], fock._coherent_projector(0.5, 12)[0])
+
+    @staticmethod
+    def _solver_dtypes(monkeypatch):
+        solve = np.linalg.eigvalsh
+        dtypes = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: dtypes.append(mat.dtype) or solve(mat))
+        return dtypes
+
+    @pytest.mark.parametrize(
+        "eta, shrink, n_th",
+        [(0.9 - 1.3j, 0.93, 0.01), (2j, 0.5, 0.2), (-1.5, 0.1, 0.05), (1.1 * np.exp(2.1j), 0.7, 0.0)],
+    )
+    def test_shared_phases_take_the_real_route(self, monkeypatch, eta, shrink, n_th):
+        # a coherent input and a closed-form output along the same direction:
+        # their phases agree up to round-off
+        dim = 40
+        rho1, _ = fock._coherent_projector(eta, dim)
+        rho2 = fock.displaced_thermal_state(eta * shrink, n_th, dim)
+        mismatch = float(np.max(np.abs(rho1._phases - rho2._phases)))
+        assert mismatch <= 4.0 * np.finfo(float).eps * dim
+        expected = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho1.entries - rho2.entries)))
+        dtypes = self._solver_dtypes(monkeypatch)
+        assert abs(trace_distance(rho1, rho2) - expected) <= mismatch + 1e-14
+        assert dtypes == [np.float64]
+
+    def test_different_phases_take_the_complex_route(self, monkeypatch):
+        # pure coherent states: 1 - |<a|b>|^2 = 1 - exp(-|a - b|^2)
+        rho1, _ = fock._coherent_projector(1.0 + 0.2j, 30)
+        rho2, _ = fock._coherent_projector(1.0 - 0.2j, 30)
+        dtypes = self._solver_dtypes(monkeypatch)
+        assert trace_distance(rho1, rho2) == pytest.approx(
+            math.sqrt(-math.expm1(-0.16)), abs=1e-12
+        )
+        assert dtypes == [np.complex128]
+
+    def test_states_without_a_real_part_take_the_complex_route(self, monkeypatch):
+        rho, _ = fock._coherent_projector(0.8 - 0.6j, 30)
+        plain = projector(coherent_state(0.8 - 0.6j, 30))
+        dtypes = self._solver_dtypes(monkeypatch)
+        assert trace_distance(rho, plain) <= 1e-15
+        assert trace_distance(thermal_state(0.2, 30), rho) > 0.5
+        assert dtypes == [np.complex128, np.complex128]
 
 
 class TestDensityMatrixType:

@@ -1,9 +1,13 @@
+import logging
 import math
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmc import (
     ChannelParams,
@@ -12,6 +16,7 @@ from bmc import (
     InvalidTimeError,
     StiffnessError,
     TruncationError,
+    TruncationWarning,
     beta_t,
     coherent_state,
     evolve,
@@ -29,8 +34,8 @@ from bmc import (
     trace_distance,
     von_neumann_entropy,
 )
-from bmc import lindblad
-from bmc.fock import _coherent_amplitudes
+from bmc import cli, lindblad
+from bmc.fock import _coherent_amplitudes, _coherent_projector
 from oracles import dense_lindblad_rhs, ladder_operators
 
 REF = ChannelParams(gamma=0.1, beta_rate=0.01)
@@ -103,6 +108,34 @@ def _random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return x + x.conj().T
+
+
+def _counted(rho0, params, times):
+    """`evolve_trajectory` and the number of right-hand-side evaluations it made."""
+    generator = lindblad._generator
+    evals = 0
+
+    def counting_generator(dim, params):
+        rhs = generator(dim, params)
+
+        def f(rho):
+            nonlocal evals
+            evals += 1
+            return rhs(rho)
+
+        return f
+
+    with mock.patch.object(lindblad, "_generator", counting_generator):
+        trajectory = evolve_trajectory(rho0, params, times)
+    return trajectory, evals
+
+
+def _random_mixed_state(dim, seed, support=6):
+    # supported on the lowest levels, so it does not touch the cutoff
+    rho = np.zeros((dim, dim), dtype=complex)
+    x = _random_hermitian(support, seed)
+    rho[:support, :support] = x @ x
+    return DensityMatrix(rho / np.trace(rho).real)
 
 
 class TestGeneratorEquivalence:
@@ -200,6 +233,21 @@ class TestTrajectory:
         assert np.array_equal(traj[1][1].entries, traj[2][1].entries)
         assert trace_distance(traj[1][1], traj[3][1]) > 1e-3
 
+    @pytest.mark.parametrize("times", [[1e-12], [1e-97, 1.0]])
+    def test_stationary_input_reaches_tiny_times(self, times):
+        # the vacuum does not move under pure loss; its first step used to be
+        # 1e-6 of the first sample time, below the step-underflow limit here
+        rho0 = projector(number_state(0, 10))
+        for _, state in evolve_trajectory(rho0, ChannelParams(gamma=1.0), times):
+            assert np.array_equal(state.entries, rho0.entries)
+
+    def test_tiny_first_sample_time_keeps_the_step_size(self):
+        # the landing step on t = 1e-20 used to set the next step to 5e-20,
+        # below the step-underflow limit
+        rho0 = projector(coherent_state(0.7, 30))
+        traj = evolve_trajectory(rho0, REF, [1e-20, 1.0])
+        assert trace_distance(traj[1][1], evolve(rho0, REF, 1.0)) < 1e-9
+
     def test_rejects_decreasing_times(self):
         rho0 = projector(number_state(0, 10))
         with pytest.raises(InvalidTimeError):
@@ -280,22 +328,7 @@ class TestFailureModes:
 
     def test_work_budget_counts_every_evaluation(self, monkeypatch):
         rho0 = projector(number_state(1, 12))
-        generator = lindblad._generator
-        evals = 0
-
-        def counting_generator(dim, params):
-            rhs = generator(dim, params)
-
-            def f(rho):
-                nonlocal evals
-                evals += 1
-                return rhs(rho)
-
-            return f
-
-        monkeypatch.setattr(lindblad, "_generator", counting_generator)
-        evolve(rho0, REF, 1.0)
-        needed = evals
+        _, needed = _counted(rho0, REF, [1.0])
         monkeypatch.setattr(lindblad, "MAX_RHS_EVALS", needed)
         evolve(rho0, REF, 1.0)
         monkeypatch.setattr(lindblad, "MAX_RHS_EVALS", needed - 1)
@@ -308,3 +341,151 @@ class TestFailureModes:
         monkeypatch.setattr(lindblad, "_generator", lambda dim, params: lambda y: y)
         with pytest.raises(TruncationError, match=r"trace drifted by \S+ at t=0\.01;"):
             evolve(DensityMatrix(np.eye(4) / 4.0), REF, 1.0)
+
+
+class TestRealRoute:
+    """M = 0 inputs kept as (phases, R) are integrated in real arithmetic."""
+
+    # Up to gamma t = 2 at d = 30 the step size is set by accuracy, and the
+    # routes take the same steps; see the stability-limited test below.
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        gamma=st.floats(0.05, 2.0),
+        n_res=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+        radius=st.floats(0.0, 2.0),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        gamma_times=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3),
+    )
+    def test_matches_the_complex_route(self, gamma, n_res, radius, phi, gamma_times):
+        dim = 30
+        params = ChannelParams(gamma=gamma, beta_rate=gamma * n_res)
+        eta = radius * complex(math.cos(phi), math.sin(phi))
+        times = sorted(g / gamma for g in gamma_times)
+        real_input, _ = _coherent_projector(eta, dim)
+        real, real_evals = _counted(real_input, params, times)
+        plain, plain_evals = _counted(projector(coherent_state(eta, dim)), params, times)
+        assert real_evals == plain_evals
+        for (t, state), (_, reference) in zip(real, plain):
+            assert state._real is not None
+            assert reference._real is None
+            assert trace_distance(state, reference) <= 1e-12
+
+    def test_stability_limited_run_agrees_to_the_tolerance(self):
+        # With a warm reservoir the step size reaches the stability limit by
+        # gamma t = 4.7 at d = 30. There the controller follows round-off,
+        # which differs between the routes (847 against 1003 evaluations
+        # here), and the states agree only to the integration tolerance.
+        params = ChannelParams(gamma=1.0, beta_rate=0.5)
+        eta, t, dim = 0.92 * complex(math.cos(0.4), math.sin(0.4)), 4.74, 30
+        real, real_evals = _counted(_coherent_projector(eta, dim)[0], params, [t])
+        plain, plain_evals = _counted(projector(coherent_state(eta, dim)), params, [t])
+        exact = to_density_matrix(evolve_coherent_analytic(eta, params, t), dim)
+        assert real_evals != plain_evals
+        assert trace_distance(real[0][1], plain[0][1]) <= 1e-9
+        assert trace_distance(real[0][1], exact) <= 1e-9
+
+    def test_outputs_keep_the_input_phases(self):
+        rho0, _ = _coherent_projector(1.0 - 0.5j, 30)
+        for _, state in evolve_trajectory(rho0, REF, [0.5, 3.0]):
+            assert np.array_equal(state._phases, rho0._phases)
+            assert state._real.dtype == np.float64
+            assert not state._real.flags.writeable
+
+    @pytest.mark.parametrize(
+        "make_input, params",
+        [
+            (lambda dim: _coherent_projector(0.6 + 0.3j, dim)[0],
+             ChannelParams(gamma=0.2, beta_rate=0.06, m_squeeze=0.2)),
+            (lambda dim: projector(number_state(2, dim)), REF),
+            (lambda dim: _random_mixed_state(dim, 7), REF),
+            (lambda dim: projector(coherent_state(0.6 + 0.3j, dim)), REF),
+        ],
+        ids=["squeezed", "number", "random-mixed", "plain-projector"],
+    )
+    def test_other_inputs_take_the_complex_route(self, make_input, params, caplog):
+        caplog.set_level(logging.DEBUG, logger="bmc")
+        for _, state in evolve_trajectory(make_input(20), params, [0.5, 2.0]):
+            assert state._real is None
+        assert "complex route" in caplog.records[-1].getMessage()
+
+    def test_non_geometric_phases_take_the_complex_route(self):
+        # the M = 0 generator commutes only with Q = diag(q0 z^n)
+        rng = np.random.default_rng(5)
+        phases = np.exp(1j * rng.uniform(-math.pi, math.pi, 20))
+        real = np.real(_random_mixed_state(20, 9).entries)
+        real = 0.5 * (real + real.T)
+        rho0 = DensityMatrix._from_phased_real(phases, real / np.trace(real))
+        out = evolve(rho0, REF, 2.0)
+        assert out._real is None
+        assert trace_distance(out, evolve(DensityMatrix(rho0.entries), REF, 2.0)) == 0.0
+
+
+class TestLandingStep:
+    # Right-hand-side evaluations of the `bmc validate` default grid, keyed
+    # by eta, when the step after a landing step grew from the shortened one.
+    BEFORE = {0j: 199, 0.5 + 0j: 211, 1.0 + 0j: 247, 1.0 + 1.0j: 295}
+
+    def test_validate_grid_gets_no_dearer(self):
+        times = sorted(set(cli.DEFAULT_TIMES))
+        evals = {}
+        for eta in cli.DEFAULT_ETAS:
+            rho0, _ = _coherent_projector(eta, cli.DEFAULT_DIM)
+            evals[eta] = _counted(rho0, REF, times)[1]
+        assert evals[0.5 + 0j] < self.BEFORE[0.5 + 0j]
+        for eta, before in self.BEFORE.items():
+            assert evals[eta] <= before, (eta, evals[eta])
+
+
+class TestDiagnostics:
+    def test_one_debug_record_per_trajectory(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="bmc")
+        rho0, _ = _coherent_projector(0.5, 30)
+        _, evals = _counted(rho0, REF, [0.1, 1.0, 5.0])
+        _counted(projector(number_state(1, 12)), REF, [1.0])
+        real, plain = caplog.records
+        assert (real.name, real.levelno) == ("bmc", logging.DEBUG)
+        assert real.getMessage().startswith(
+            f"evolve_trajectory: real route, dim 30, {evals} right-hand-side evaluations, "
+        )
+        accepted, rejected = real.args[-2:]
+        assert (evals - 1) == 6 * (accepted + rejected)
+        assert plain.getMessage().startswith("evolve_trajectory: complex route, dim 12, ")
+        assert logging.getLogger("bmc").handlers == []
+
+    def test_silent_at_the_default_level(self, caplog):
+        evolve(_coherent_projector(0.5, 20)[0], REF, 1.0)
+        assert not [r for r in caplog.records if r.name == "bmc"]
+
+
+class TestFiniteOrTypedError:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        gamma=st.floats(1e-3, 1e4),
+        n_res=st.one_of(st.just(0.0), st.floats(1e-3, 50.0)),
+        squeeze=st.floats(0.0, 1.0),
+        eta=st.complex_numbers(max_magnitude=5.0),
+        dim=st.integers(4, 24),
+        gamma_times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=3),
+        real_input=st.booleans(),
+    )
+    def test_evolve_trajectory(self, gamma, n_res, squeeze, eta, dim, gamma_times, real_input):
+        # a low work budget keeps stiff draws short: they must end in StiffnessError
+        params = ChannelParams(
+            gamma=gamma,
+            beta_rate=gamma * n_res,
+            m_squeeze=squeeze * math.sqrt(n_res * (n_res + 1.0)),
+        )
+        times = sorted(g / gamma for g in gamma_times)
+        with warnings.catch_warnings(), mock.patch.object(lindblad, "MAX_RHS_EVALS", 300):
+            warnings.simplefilter("ignore", TruncationWarning)
+            try:
+                if real_input:
+                    rho0 = _coherent_projector(eta, dim)[0]
+                else:
+                    rho0 = projector(coherent_state(eta, dim))
+                trajectory = evolve_trajectory(rho0, params, times)
+            except Exception as exc:
+                assert type(exc).__module__ == "bmc.errors", repr(exc)
+            else:
+                for _, state in trajectory:
+                    assert np.all(np.isfinite(state.entries))
