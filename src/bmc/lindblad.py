@@ -1,11 +1,14 @@
 """Master-equation propagation of a damped bosonic mode in a thermal reservoir.
 
-The generator is applied as shifted-slice multiply-adds on rho, O(d^2) per
-evaluation (the superoperator is never materialized), and integrated in the
-interaction picture, so there is no free-Hamiltonian commutator term.
-`evolve_trajectory` integrates once from t = 0 through every sample time in
-one adaptive Dormand-Prince 5(4) loop at fixed tolerances, which counts its
-right-hand-side evaluations and checks every accepted step in place.
+The generator is applied as shifted multiply-adds on rho, most of them on
+the flattened matrix, O(d^2) per evaluation (the superoperator is never
+materialized), and integrated in the interaction picture, so there is no
+free-Hamiltonian commutator term. `evolve_trajectory` integrates once from
+t = 0 through every sample time in one adaptive Dormand-Prince 5(4) loop at
+fixed tolerances, which counts its right-hand-side evaluations and checks
+every accepted step in place. A step keeps its seven stage derivatives in one
+buffer per trajectory, so each stage, the new state and the error estimate
+are one matrix-vector product with a tableau row.
 """
 
 from __future__ import annotations
@@ -102,6 +105,12 @@ def _generator(dim: int, params: ChannelParams):
     are shifts by one or two. The anticommutator pieces form a drift A with
     A rho + rho A; its diagonal uses the truncated a a^dagger =
     diag(1, ..., dim-1, 0), whose zero last entry keeps the trace conserved.
+
+    The drift, loss and gain terms (the whole generator when M = 0) act on
+    the flattened rho as contiguous multiply-adds: rho_{m+1,n+1} sits
+    dim + 1 entries after rho_mn, and the loss and gain weights have a zero
+    last row and column, so a shift that would wrap into the next row adds
+    nothing. The squeezing terms are 2-D shifted slices.
     """
     gamma = params.gamma
     n_res = params.reservoir_photons
@@ -110,20 +119,24 @@ def _generator(dim: int, params: ChannelParams):
     anti_number = levels + 1.0
     anti_number[-1] = 0.0
     diag = (-0.5 * gamma) * ((n_res + 1.0) * levels + n_res * anti_number)
-    drift_sum = diag[:, None] + diag[None, :]
-    root = np.sqrt(levels[1:])  # root[k] = sqrt(k + 1)
-    weights = root[:, None] * root[None, :]  # sqrt((k+1)(l+1))
-    loss = (gamma * (n_res + 1.0)) * weights
-    gain = (gamma * n_res) * weights
-    # Off-diagonal drift -gamma/2 (M a^dagger^2 + M* a^2) and squeezed sandwiches.
-    pair = (-0.5 * gamma * m) * np.sqrt(levels[1:-1] * levels[2:])
-    sandwich = (gamma * m) * weights
+    drift_sum = (diag[:, None] + diag[None, :]).ravel()
+    root = np.append(np.sqrt(levels[1:]), 0.0)  # root[k] = sqrt(k + 1), then 0
+    weights = np.outer(root, root)  # sqrt((k+1)(l+1)), zero last row and column
+    shift = dim + 1
+    loss = ((gamma * (n_res + 1.0)) * weights).ravel()[:-shift]
+    gain = ((gamma * n_res) * weights).ravel()[:-shift]
+    if m != 0:
+        # Off-diagonal drift -gamma/2 (M a^dagger^2 + M* a^2) and squeezed sandwiches.
+        pair = (-0.5 * gamma * m) * np.sqrt(levels[1:-1] * levels[2:])
+        sandwich = (gamma * m) * weights[:-1, :-1]
 
     def f(rho: np.ndarray) -> np.ndarray:
-        out = drift_sum * rho
-        out[:-1, :-1] += loss * rho[1:, 1:]
+        flat = rho.reshape(-1)
+        out = drift_sum * flat
+        out[:-shift] += loss * flat[shift:]
         if n_res != 0.0:
-            out[1:, 1:] += gain * rho[:-1, :-1]
+            out[shift:] += gain * flat[:-shift]
+        out = out.reshape(dim, dim)
         if m != 0:
             out[2:, :] += pair[:, None] * rho[:-2, :]
             out[:-2, :] += pair.conj()[:, None] * rho[2:, :]
@@ -145,16 +158,22 @@ def lindblad_rhs(rho: DensityMatrix, params: ChannelParams) -> DensityMatrix:
     return DensityMatrix(_generator(rho.dim, params)(rho.entries))
 
 
-# Dormand-Prince 5(4) tableau (the propagated solution is 5th order).
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+# Dormand-Prince 5(4) tableau (the propagated solution is 5th order). Row i
+# of A weighs stages 0 .. i; B and E weigh the stages of one step at once.
+_DP_A = tuple(
+    np.array(row)
+    for row in (
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    )
 )
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_DP_B = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_DP_E = np.array(
+    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -162,10 +181,16 @@ _MAX_FACTOR = 5.0
 
 
 def _error_ratio(err, y_old, y_new):
-    scale = _ABS_TOL + _REL_TOL * np.maximum(np.abs(y_old), np.abs(y_new))
+    """RMS over the entries of |err| / (ABS_TOL + REL_TOL max(|y_old|, |y_new|))."""
+    scale = np.abs(y_old)
+    np.maximum(scale, np.abs(y_new), out=scale)
+    scale *= _REL_TOL
+    scale += _ABS_TOL
     # |err| / scale, not |err / scale|: a complex / float division rounds
     # differently, and the real and complex routes must take the same steps.
-    return float(np.sqrt(np.mean((np.abs(err) / scale) ** 2)))
+    q = np.abs(err).reshape(-1)
+    q /= scale.reshape(-1)
+    return math.sqrt(float(q @ q) / q.size)
 
 
 def _check_trace(y: np.ndarray, t: float) -> None:
@@ -216,10 +241,11 @@ def evolve_trajectory(
     For M = 0 the generator has real coefficients and commutes with
     Q = diag(q0 z^n), so an input kept as (phases, R) with such phases (a
     displaced thermal state, or a coherent input of `bmc validate`) is
-    integrated as the real R, and every output is the same Q around R_t. The error ratio is the same
-    on both routes, since |(Q E Q+)_mn| = |E_mn|. Each integrated trajectory
-    logs its route, right-hand-side evaluations and accepted and rejected
-    steps at DEBUG on the "bmc" logger.
+    integrated as the real R, and every output is the same Q around R_t. The
+    error ratio is the same on both routes, since |(Q E Q+)_mn| = |E_mn|.
+    Returned states hold read-only copies, never views of the step buffer.
+    Each integrated trajectory logs its route, right-hand-side evaluations
+    and accepted and rejected steps at DEBUG on the "bmc" logger.
     """
     times = [float(t) for t in times]
     if not times:
@@ -247,15 +273,20 @@ def evolve_trajectory(
     if not stops:
         return [(t, rho0) for t in times]
 
-    f = _generator(rho0.dim, params)
+    dim = rho0.dim
+    f = _generator(dim, params)
     feeds_photons = params.beta_rate > 0.0 or params.m_squeeze != 0
-    k1 = f(y)
+    # The seven stage derivatives of a step, in one buffer: ks[0] is k1, and
+    # each stage sum is one product of tableau weights with the flat stages.
+    ks = np.empty((7, dim, dim), dtype=y.dtype)
+    stages = ks.reshape(7, -1)
+    ks[0] = f(y)
     evals, accepted, rejected = 1, 0, 0
     # Initial step from the size of the state and its derivative; a state that
     # does not move tries one step to the last sample time.
     scale = _ABS_TOL + _REL_TOL * np.abs(y)
     d0 = float(np.sqrt(np.mean((np.abs(y) / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((np.abs(k1) / scale) ** 2)))
+    d1 = float(np.sqrt(np.mean((np.abs(ks[0]) / scale) ** 2)))
     h = stops[-1] if (d0 < 1e-8 or d1 < 1e-8) else 0.01 * d0 / d1
     t = 0.0
     for t_stop in stops:
@@ -268,30 +299,27 @@ def evolve_trajectory(
             if evals + 6 > MAX_RHS_EVALS:
                 raise StiffnessError(
                     f"gave up after {MAX_RHS_EVALS} right-hand-side evaluations short of "
-                    f"t={t_stop:.6g} (gamma={params.gamma:.6g}, dim={rho0.dim}); stability "
+                    f"t={t_stop:.6g} (gamma={params.gamma:.6g}, dim={dim}); stability "
                     "holds the step size down, the problem is too stiff for this integrator"
                 )
             final = h >= t_stop - t
             h_try = t_stop - t if final else h
-            ks = [k1]
-            for row in _DP_A:
-                stage = y + h_try * sum(c * k for c, k in zip(row, ks))
-                ks.append(f(stage))
-            y_new = y + h_try * sum(b * k for b, k in zip(_DP_B, ks) if b != 0.0)
-            k7 = f(y_new)
+            for i, row in enumerate(_DP_A, start=1):
+                ks[i] = f(y + ((h_try * row) @ stages[:i]).reshape(dim, dim))
+            y_new = y + ((h_try * _DP_B) @ stages[:6]).reshape(dim, dim)
+            ks[6] = f(y_new)
             evals += 6
-            ks.append(k7)
-            err = h_try * sum(e * k for e, k in zip(_DP_E, ks) if e != 0.0)
-            ratio = _error_ratio(err, y, y_new)
+            ratio = _error_ratio((h_try * _DP_E) @ stages, y, y_new)
             ok = math.isfinite(ratio) and ratio <= 1.0
             if ok:
                 accepted += 1
                 t = t_stop if final else t + h_try
-                y = 0.5 * (y_new + y_new.conj().T)
+                y = y_new + y_new.conj().T
+                y *= 0.5
                 _check_trace(y, t)
                 if feeds_photons:
                     _check_cutoff(y, t, times[-1], rho0, params)
-                k1 = k7  # first-same-as-last reuse
+                ks[0] = ks[6]  # first-same-as-last reuse
                 factor = _MAX_FACTOR if ratio == 0.0 else _SAFETY * ratio ** -0.2
             else:
                 # Step rejected: y and k1 stay valid, only h shrinks.

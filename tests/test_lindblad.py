@@ -157,6 +157,30 @@ class TestGeneratorEquivalence:
         assert np.max(np.abs(drho - drho.conj().T)) <= 1e-15 * scale
 
 
+class TestFlatShift:
+    """The loss and gain terms shift the flattened rho by dim + 1 entries; their
+    weights vanish where such a shift would wrap into the next row."""
+
+    @pytest.mark.parametrize("entry", [(3, 6), (0, 6), (6, 0), (6, 3)])
+    @pytest.mark.parametrize("params", GENERATOR_PARAMS, ids=["loss", "thermal", "squeezed"])
+    def test_last_row_and_column_stay_in_their_stencil(self, entry, params):
+        dim = 7
+        j, k = entry
+        x = np.zeros((dim, dim), dtype=complex)
+        x[j, k] = 0.7 - 0.2j
+        got = lindblad_rhs(DensityMatrix(x), params).entries
+        offsets = [(0, 0), (-1, -1), (1, 1)]
+        if params.m_squeeze != 0:
+            offsets += [(2, 0), (-2, 0), (0, 2), (0, -2), (1, -1), (-1, 1)]
+        stencil = np.zeros((dim, dim), dtype=bool)
+        for dm, dn in offsets:
+            if 0 <= j + dm < dim and 0 <= k + dn < dim:
+                stencil[j + dm, k + dn] = True
+        assert np.all(got[~stencil] == 0.0)
+        reference = dense_lindblad_rhs(x, params)
+        assert np.max(np.abs(got - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
 class TestEvolve:
     def test_zero_time_returns_input(self):
         rho0 = projector(coherent_state(1.0, 30))
@@ -247,6 +271,24 @@ class TestTrajectory:
         rho0 = projector(coherent_state(0.7, 30))
         traj = evolve_trajectory(rho0, REF, [1e-20, 1.0])
         assert trace_distance(traj[1][1], evolve(rho0, REF, 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("route", ["real", "complex"])
+    def test_samples_do_not_alias_the_step_buffer(self, route):
+        # stepping on to t = 2 must leave the state returned for t = 0.5 as it was
+        eta = 0.8 + 0.3j
+        if route == "real":
+            rho0 = _coherent_projector(eta, 30)[0]
+        else:
+            rho0 = projector(coherent_state(eta, 30))
+        early = evolve_trajectory(rho0, REF, [0.5, 2.0])[0][1]
+        alone = evolve_trajectory(rho0, REF, [0.5])[0][1]
+        assert np.array_equal(early.entries, alone.entries)
+        assert not early.entries.flags.writeable
+        if route == "real":
+            assert np.array_equal(early._real, alone._real)
+            assert not early._real.flags.writeable
+        else:
+            assert early._real is None
 
     def test_rejects_decreasing_times(self):
         rho0 = projector(number_state(0, 10))
@@ -434,6 +476,30 @@ class TestLandingStep:
         assert evals[0.5 + 0j] < self.BEFORE[0.5 + 0j]
         for eta, before in self.BEFORE.items():
             assert evals[eta] <= before, (eta, evals[eta])
+
+
+class TestValidateGridWork:
+    # Route, right-hand-side evaluations, accepted and rejected steps of the
+    # `bmc validate` default grid, keyed by eta, from the DEBUG record. A
+    # faster step loop must do exactly this work.
+    WORK = {
+        0j: ("real", 169, 28, 0),
+        0.5 + 0j: ("real", 193, 32, 0),
+        1.0 + 0j: ("real", 247, 41, 0),
+        1.0 + 1.0j: ("real", 295, 49, 0),
+    }
+
+    def test_work_is_unchanged(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="bmc")
+        times = sorted(set(cli.DEFAULT_TIMES))
+        for eta in cli.DEFAULT_ETAS:
+            evolve_trajectory(_coherent_projector(eta, cli.DEFAULT_DIM)[0], REF, times)
+        work = {}
+        for eta, record in zip(cli.DEFAULT_ETAS, caplog.records):
+            route, dim, evals, accepted, rejected = record.args
+            assert dim == cli.DEFAULT_DIM
+            work[eta] = (route, evals, accepted, rejected)
+        assert work == self.WORK
 
 
 class TestDiagnostics:
