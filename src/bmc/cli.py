@@ -378,7 +378,6 @@ def _config_flag(parser, flag: str, key: str, help: str) -> None:
 def _add_param_flags(parser):
     _config_flag(parser, "--gamma", "gamma", "decay rate in 1/s")
     _config_flag(parser, "--beta", "beta", "thermal noise rate in 1/s")
-    _config_flag(parser, "--nbar", "n_bar", "mean input photon number")
     parser.add_argument("--config", type=Path, help="key = value configuration file")
 
 
@@ -398,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     _config_flag(p_sweep, "--t-grid", "t_grid", "comma-separated times in s")
     p_sweep.add_argument("--out", type=Path, required=True, help="output CSV path")
     p_sweep.add_argument("--plot", action="store_true", help="emit a sibling plot script")
+    _config_flag(p_sweep, "--nbar", "n_bar", "mean input photon number")
     _add_param_flags(p_sweep)
 
     p_val = sub.add_parser("validate", help="integrator-vs-closed-form check")

@@ -41,8 +41,8 @@ _ENTROPY_FLOOR = 1e-14
 # Thermal tail weight `thermal_tail_dim` leaves beyond the cutoff.
 _TAIL_WEIGHT = 1e-9
 
-# Per-level phase mismatch up to which `trace_distance` compares two
-# (phases, R) states by their real parts: the closed-form output phases carry
+# Per-level phase mismatch up to which `trace_distance` compares two states
+# kept in a frame by their real cores: the closed-form output phases carry
 # up to about dim * eps of round-off against those of the coherent input.
 _PHASE_MATCH_TOL = 4.0 * np.finfo(float).eps
 
@@ -56,11 +56,11 @@ class DensityMatrix:
     """
 
     entries: np.ndarray
-    # Real symmetric R and the diagonal of the unitary Q with entries = Q R Q+,
-    # when the state was built that way (see `_from_phased_real`); else None.
-    # Both are read-only.
-    _real: np.ndarray | None = field(default=None, init=False, repr=False)
-    _phases: np.ndarray | None = field(default=None, init=False, repr=False)
+    # The core C with entries = Q C Q+, read-only: the real R of a state built
+    # in the frame Q of a displacement by _alpha (see `_from_phased_real`);
+    # `entries` itself for any other state, which has no frame (_alpha None).
+    _core: np.ndarray = field(default=None, init=False, repr=False)
+    _alpha: complex | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         mat = np.array(self.entries, dtype=complex)
@@ -70,24 +70,30 @@ class DensityMatrix:
             )
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "_core", mat)
 
     @classmethod
-    def _from_phased_real(cls, phases: np.ndarray, real: np.ndarray) -> "DensityMatrix":
-        """The matrix Q R Q+ with Q = diag(phases) unitary and R real.
+    def _from_phased_real(cls, alpha: complex, real: np.ndarray) -> "DensityMatrix":
+        """The matrix Q R Q+ with R real, in the frame Q = diag(e^{i phi n}) of
+        a displacement by alpha = r e^{i phi} (`_displacement_phases`).
 
-        `entries` is formed here from (phases, R), so the two cannot
-        disagree, and `spectrum` diagonalizes the read-only R, which has
-        the same eigenvalues because Q is unitary.
+        `entries` is formed here from (Q, R), so the two cannot disagree, and
+        `spectrum` diagonalizes the read-only R, which has the same
+        eigenvalues because Q is unitary.
         """
-        phases = np.array(phases, dtype=complex)
-        if not np.all(np.abs(np.abs(phases) - 1.0) <= 1e-12):
-            raise InvalidParameterError("phases of a diagonal unitary must have unit modulus")
-        real = np.array(real, dtype=float)
+        alpha, real = complex(alpha), np.array(real, dtype=float)
+        phases = _displacement_phases(alpha, real.shape[0])
         rho = cls(real * np.outer(phases, phases.conj()))
-        for arr, name in ((real, "_real"), (phases, "_phases")):
-            arr.setflags(write=False)
-            object.__setattr__(rho, name, arr)
+        real.setflags(write=False)
+        object.__setattr__(rho, "_core", real)
+        object.__setattr__(rho, "_alpha", alpha)
         return rho
+
+    def _with_core(self, core: np.ndarray) -> "DensityMatrix":
+        """The state around a copy of `core` in this state's frame."""
+        if self._alpha is None:
+            return DensityMatrix(core)
+        return DensityMatrix._from_phased_real(self._alpha, core)
 
     @property
     def dim(self) -> int:
@@ -101,10 +107,10 @@ class DensityMatrix:
         """Eigenvalues in ascending order, computed once per state; read-only.
 
         An exactly diagonal matrix (thermal and mixed states) skips the
-        solver, and a state built from (phases, R) diagonalizes the real R.
+        solver, and a state built in a frame diagonalizes its real core.
         `validate` and `von_neumann_entropy` both read this.
         """
-        mat = self.entries if self._real is None else self._real
+        mat = self._core
         diagonal = np.diagonal(mat)
         if np.count_nonzero(mat) == np.count_nonzero(diagonal):
             evals = np.sort(diagonal.real)
@@ -121,9 +127,9 @@ class DensityMatrix:
         psd_tol: float = POSITIVITY_TOL,
     ) -> "DensityMatrix":
         """Check the invariant triple; return self or raise NotAStateError."""
-        # Q R Q+ with Q diagonal unitary deviates from Hermitian exactly as R
-        # from symmetric, element by element, so a (phases, R) state checks R.
-        mat = self.entries if self._real is None else self._real
+        # Q C Q+ with Q diagonal unitary deviates from Hermitian exactly as C,
+        # element by element, so the core is checked.
+        mat = self._core
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
         if not herm_dev <= herm_tol:
             raise NotAStateError(
@@ -165,9 +171,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def _check_dim(dim) -> int:
@@ -239,9 +242,7 @@ def _coherent_projector(eta: complex, dim: int) -> tuple[DensityMatrix, float]:
     eta, dim = _check_amplitude(eta), _check_dim(dim)
     mass = _poisson_mass(abs(eta) ** 2, dim)
     root = np.sqrt(mass)
-    rho = DensityMatrix._from_phased_real(
-        _displacement_phases(eta, dim), np.outer(root, root) / np.sum(mass)
-    )
+    rho = DensityMatrix._from_phased_real(eta, np.outer(root, root) / np.sum(mass))
     return rho, _lost_weight(mass)
 
 
@@ -402,7 +403,7 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMat
     columns = _real_displacement(abs(alpha), dim)[:, kept]
     real = (columns * weights[kept]) @ columns.T
     real /= np.trace(real)
-    return DensityMatrix._from_phased_real(_displacement_phases(alpha, dim), real).validate()
+    return DensityMatrix._from_phased_real(alpha, real).validate()
 
 
 def thermal_state(n_th: float, dim: int) -> DensityMatrix:
@@ -454,25 +455,23 @@ def fidelity_with_coherent(rho: DensityMatrix, eta: complex) -> float:
 def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """Half the trace norm of rho1 - rho2.
 
-    When both states are kept as (phases, R) and their phases q1, q2 agree
-    to within dim * _PHASE_MATCH_TOL, this is half the trace norm of the
-    real R1 - R2. With Q1 = Q2 diag(delta) that differs from the exact value
-    by at most max |delta_n - 1| ||R1||_1 = max |q1_n - q2_n| (||R1||_1 = 1
-    for a state): the phase mismatch, the same order as the round-off of the
-    complex difference of the entries.
+    When both states are kept in a frame and their phases q1, q2 agree to
+    within dim * _PHASE_MATCH_TOL, this is half the trace norm of the
+    difference of their real cores, R1 - R2. With Q1 = Q2 diag(delta) that
+    differs from the exact value by at most max |delta_n - 1| ||R1||_1 =
+    max |q1_n - q2_n| (||R1||_1 = 1 for a state): the phase mismatch, the
+    same order as the round-off of the complex difference of the entries.
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatchError(
             f"trace distance between dim {rho1.dim} and dim {rho2.dim} states"
         )
-    if (
-        rho1._phases is not None
-        and rho2._phases is not None
-        and np.max(np.abs(rho1._phases - rho2._phases)) <= _PHASE_MATCH_TOL * rho1.dim
-    ):
-        diff = rho1._real - rho2._real
-    else:
-        diff = rho1.entries - rho2.entries
+    matched = rho1._alpha is not None and rho2._alpha is not None and bool(
+        np.max(np.abs(_displacement_phases(rho1._alpha, rho1.dim)
+                      - _displacement_phases(rho2._alpha, rho2.dim)))
+        <= _PHASE_MATCH_TOL * rho1.dim
+    )
+    diff = rho1._core - rho2._core if matched else rho1.entries - rho2.entries
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 

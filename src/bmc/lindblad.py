@@ -238,11 +238,13 @@ def evolve_trajectory(
     state against the invariant triple. A run that needs more than
     MAX_RHS_EVALS right-hand-side evaluations raises StiffnessError.
 
-    For M = 0 the generator has real coefficients and commutes with
-    Q = diag(q0 z^n), so an input kept as (phases, R) with such phases (a
-    displaced thermal state, or a coherent input of `bmc validate`) is
-    integrated as the real R, and every output is the same Q around R_t. The
-    error ratio is the same on both routes, since |(Q E Q+)_mn| = |E_mn|.
+    For M = 0 the generator has real coefficients and commutes with the
+    diagonal unitary Q of a state's frame, so the integrator steps the core
+    C of rho0 = Q C Q+ and every output is the same Q around C_t. A state
+    built in a displacement's frame (a displaced thermal state, or a
+    coherent input of `bmc validate`) has a real core and so steps in real
+    arithmetic. The error ratio is the same as for the entries, since
+    |(Q E Q+)_mn| = |E_mn|. For M != 0 the entries are stepped.
     Returned states hold read-only copies, never views of the step buffer.
     Each integrated trajectory logs its route, right-hand-side evaluations
     and accepted and rejected steps at DEBUG on the "bmc" logger.
@@ -259,14 +261,8 @@ def evolve_trajectory(
         previous = t
 
     rho0.validate(herm_tol=_EVOLVE_HERM_TOL, trace_tol=math.inf, psd_tol=_EVOLVE_PSD_TOL)
-    # For M = 0 the generator commutes with Q = diag(q0 z^n): geometric phases only.
-    steps = None if rho0._phases is None else rho0._phases[1:] * rho0._phases[:-1].conj()
-    real = (
-        steps is not None
-        and params.m_squeeze == 0
-        and bool(np.all(np.abs(steps - steps[:1]) <= 1e-12))
-    )
-    y = np.array(rho0._real, dtype=float) if real else np.array(rho0.entries, dtype=complex)
+    in_frame = params.m_squeeze == 0
+    y = np.array(rho0._core if in_frame else rho0.entries)
     _check_trace(y, 0.0)
     states = {0.0: rho0}
     stops = sorted(set(times) - {0.0})
@@ -329,10 +325,7 @@ def evolve_trajectory(
             # An accepted step shortened to land on t_stop keeps the size
             # proposed before the shortening, when that is larger.
             h = max(h, h_next) if ok and h_try < h else h_next
-        if real:
-            state = DensityMatrix._from_phased_real(rho0._phases, y)
-        else:
-            state = DensityMatrix(y)
+        state = rho0._with_core(y) if in_frame else DensityMatrix(y)
         states[t_stop] = state.validate(
             herm_tol=_EVOLVE_HERM_TOL,
             trace_tol=_EVOLVE_TRACE_TOL,
@@ -341,7 +334,7 @@ def evolve_trajectory(
     _log.debug(
         "evolve_trajectory: %s route, dim %d, %d right-hand-side evaluations, "
         "%d accepted and %d rejected steps",
-        "real" if real else "complex", rho0.dim, evals, accepted, rejected,
+        "complex" if np.iscomplexobj(y) else "real", rho0.dim, evals, accepted, rejected,
     )
     return [(t, states[t]) for t in times]
 

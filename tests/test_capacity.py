@@ -32,7 +32,7 @@ from bmc import (
     von_neumann_entropy,
 )
 from bmc import analytic, capacity
-from bmc.capacity import OptimalSignalResult, theta_at_nbar
+from bmc.capacity import OptimalSignalResult, theta_at_nbar, theta_curve
 from oracles import gauss_laguerre_scalar_average, golden_section_maximize
 
 REF = ChannelParams(gamma=0.1, beta_rate=0.01, n_bar=5.0)
@@ -545,3 +545,54 @@ def test_helpers_stay_out_of_the_package_namespace():
     # perfbench traces capacity.theta_at_nbar by module attribute
     assert "theta_at_nbar" not in bmc.__all__ and not hasattr(bmc, "theta_at_nbar")
     assert callable(capacity.theta_at_nbar)
+
+
+# Positive doubles from the smallest subnormal to near the largest double,
+# uniformly in the exponent as well as in hypothesis's own float draws.
+_EXTREME = st.one_of(
+    st.floats(5e-324, 1.7e308),
+    st.floats(-323.0, 308.0).map(lambda e: 10.0**e),
+)
+
+
+class TestFiniteOrTypedError:
+    """Every closed form returns finite values or raises a bmc.errors exception."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        gamma=_EXTREME,
+        beta=st.one_of(st.just(0.0), _EXTREME),
+        n_bar=st.one_of(st.just(0.0), _EXTREME),
+        t=_EXTREME,
+        search_max=_EXTREME,
+    )
+    def test_over_the_whole_double_range(self, gamma, beta, n_bar, t, search_max):
+        calls = {
+            "capacity_point": lambda params: capacity_point(params, t),
+            "theta_curve": lambda params: theta_curve(params, t, (n_bar, search_max)),
+            "optimal_nbar": lambda params: optimal_nbar(params, t, search_max),
+        }
+        for name, call in calls.items():
+            try:
+                result = call(ChannelParams(gamma=gamma, beta_rate=beta, n_bar=n_bar))
+            except Exception as exc:
+                assert type(exc).__module__ == "bmc.errors", (name, repr(exc))
+                continue
+            if name == "capacity_point":
+                values = [result.t, result.chi, result.avg_fidelity, result.theta]
+            elif name == "theta_curve":
+                values = result
+            elif result.interior_optimum:
+                # the printed criterion may be beyond a double (documented NaN)
+                values = [result.n_bar_opt, result.theta_at_opt]
+                assert math.isfinite(result.criterion_residual) or math.isnan(
+                    result.criterion_residual
+                )
+            else:
+                # no interior optimum: every numeric field is NaN
+                assert all(
+                    math.isnan(v)
+                    for v in (result.n_bar_opt, result.theta_at_opt, result.criterion_residual)
+                )
+                values = []
+            assert all(math.isfinite(v) for v in values), (name, values)

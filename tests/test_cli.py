@@ -1,10 +1,16 @@
+import contextlib
+import io
 import math
 import shlex
+import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmc import (
     ChannelParams,
@@ -498,6 +504,83 @@ class TestMisuse:
         assert cli.main(["optimal", "--t", "1", "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate", "--nbar", "3"], ["optimal", "--t", "1", "--nbar", "3"]],
+        ids=["validate", "optimal"],
+    )
+    def test_nbar_is_a_sweep_flag(self, argv, capsys):
+        # neither command reads n_bar, so the flag is refused, not ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --nbar 3" in captured.err
+
+
+# Flag values a user might type by mistake, and doubles across the whole range.
+_HOSTILE_VALUE = st.one_of(
+    st.sampled_from(
+        ["nan", "inf", "-inf", "-1", "0", "-0", "5e-324", "1e-300", "1.7e308", "1e309",
+         "", "x", "1,2", "1e-3", "0.1", "1", "20"]
+    ),
+    st.floats(5e-324, 1.7e308).map(repr),
+    st.floats(-323.0, 308.0).map(lambda e: repr(10.0**e)),
+)
+
+
+@st.composite
+def _hostile_command(draw):
+    # each value is left out, ordinary or hostile, so every command also
+    # reaches its success and failure exits
+    value = st.one_of(st.floats(1e-2, 20.0).map(repr), _HOSTILE_VALUE)
+
+    def flag(name, values=value):
+        drawn = draw(st.one_of(st.none(), values))
+        return [] if drawn is None else [f"--{name}={drawn}"]
+
+    command = draw(st.sampled_from(["sweep", "validate", "optimal"]))
+    argv = [command, *flag("gamma"), *flag("beta")]
+    if command == "sweep":
+        argv += [
+            f"--swept={draw(st.sampled_from(cli._SWEPT_CHOICES))}",
+            *flag("nbar"),
+            *flag("lo"),
+            *flag("hi"),
+            f"--steps={draw(st.integers(-2, 50))}",
+            *flag("t-grid", st.lists(value, max_size=3).map(",".join)),
+        ]
+    elif command == "validate":
+        # one eta and one time; --dim stays small, a (7, dim, dim) stage
+        # buffer is allocated per trajectory
+        argv += ["--etas=0.5", "--times=1", f"--dim={draw(st.integers(-1, 40))}"]
+    else:
+        argv += [*flag("t"), *flag("search-max")]
+    return argv
+
+
+class TestHostileInput:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(argv=_hostile_command())
+    def test_exit_code_without_traceback(self, argv):
+        # a low work budget keeps stiff channels short: they exit with code 2
+        out, err = io.StringIO(), io.StringIO()
+        with (
+            tempfile.TemporaryDirectory() as workdir,
+            mock.patch.object(lindblad, "MAX_RHS_EVALS", 300),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
+            if argv[0] == "sweep":
+                argv = [*argv, f"--out={workdir}/sweep.csv"]
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses the value
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION_FAILED, EXIT_NO_OPTIMUM), argv
+        assert "Traceback" not in err.getvalue()
 
 
 def readme_block(lang):

@@ -128,9 +128,9 @@ class TestCoherentState:
         rho, loss = fock._coherent_projector(eta, dim)
         assert loss == coherent_truncation_loss(eta, dim)
         assert np.max(np.abs(rho.entries - plain.entries)) <= 1e-15
-        assert np.array_equal(rho._phases, fock._displacement_phases(complex(eta), dim))
-        assert rho._real.dtype == np.float64 and np.array_equal(rho._real, rho._real.T)
-        assert not rho._phases.flags.writeable and not rho._real.flags.writeable
+        assert rho._alpha == complex(eta)
+        assert rho._core.dtype == np.float64 and np.array_equal(rho._core, rho._core.T)
+        assert not rho._core.flags.writeable
 
     def test_projector_builder_rejects_bad_input(self):
         with pytest.raises(InvalidParameterError, match="finite"):
@@ -412,7 +412,9 @@ class TestTraceDistance:
         dim = 40
         rho1, _ = fock._coherent_projector(eta, dim)
         rho2 = fock.displaced_thermal_state(eta * shrink, n_th, dim)
-        mismatch = float(np.max(np.abs(rho1._phases - rho2._phases)))
+        mismatch = float(np.max(np.abs(
+            fock._displacement_phases(rho1._alpha, dim) - fock._displacement_phases(rho2._alpha, dim)
+        )))
         assert mismatch <= 4.0 * np.finfo(float).eps * dim
         expected = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho1.entries - rho2.entries)))
         dtypes = self._solver_dtypes(monkeypatch)
@@ -520,19 +522,30 @@ class TestSpectrum:
         rng = np.random.default_rng(11)
         real = rng.standard_normal((6, 6))
         real = real + real.T
-        phases = np.exp(1j * rng.uniform(-math.pi, math.pi, 6))
-        rho = DensityMatrix._from_phased_real(phases, real)
+        alpha = 0.8 * np.exp(2.2j)
+        phases = fock._displacement_phases(alpha, 6)
+        rho = DensityMatrix._from_phased_real(alpha, real)
         assert np.array_equal(rho.entries, real * np.outer(phases, phases.conj()))
-        assert not rho._real.flags.writeable and not rho.entries.flags.writeable
+        assert not rho._core.flags.writeable and not rho.entries.flags.writeable
         real[0, 0] = 99.0  # the caller's array is copied
-        assert rho._real[0, 0] != 99.0
-        with pytest.raises(InvalidParameterError, match="unit modulus"):
-            DensityMatrix._from_phased_real(1.01 * phases, real)
+        assert rho._core[0, 0] != 99.0
+
+    def test_with_core_keeps_the_frame(self):
+        rho = thermal_state(0.1, 8)
+        assert rho._core is rho.entries and rho._alpha is None
+        moved = rho._with_core(np.diag(np.arange(8.0)))
+        assert moved._alpha is None and moved.entries.dtype == np.complex128
+        framed, _ = fock._coherent_projector(0.5 - 0.5j, 8)
+        real = np.array(framed._core)
+        again = framed._with_core(real)
+        assert np.array_equal(again.entries, framed.entries) and again._alpha == framed._alpha
+        real[0, 0] = 99.0  # the core is copied
+        assert again._core[0, 0] != 99.0
 
     def test_phased_real_state_with_asymmetric_real_part_is_not_hermitian(self):
         real = np.diag([0.5, 0.3, 0.2])
         real[0, 1] = 1e-9
-        rho = DensityMatrix._from_phased_real(np.exp(1j * np.array([0.0, 0.7, 1.4])), real)
+        rho = DensityMatrix._from_phased_real(np.exp(0.7j), real)
         with pytest.raises(NotAStateError, match=r"not Hermitian: max deviation 1\.000e-09"):
             rho.validate()
 

@@ -1,0 +1,44 @@
+"""The phase frame of a density matrix is private to `bmc.fock`.
+
+A state built in a displacement's frame Q keeps its real core R with
+entries = Q R Q+; other modules see only `_core` and `_with_core`. This test
+fails when another module names the frame's parts again, so the frame's
+format cannot leak out of `fock` unnoticed.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parent.parent / "src" / "bmc"
+# `_alpha` is where a state keeps its frame's displacement.
+FRAME_NAMES = {"_phases", "_alpha", "_from_phased_real", "_displacement_phases"}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update((node.name, node.asname))
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "fock.py"), ids=lambda p: p.name
+)
+def test_only_fock_names_the_phase_frame(path):
+    assert _names(ast.parse(path.read_text(), filename=str(path))) & FRAME_NAMES == set()
+
+
+def test_the_guard_sees_the_names():
+    # a phase test of the kind `evolve_trajectory` once held
+    snippet = "steps = rho0._phases[1:]\nstate = DensityMatrix._from_phased_real(rho0._phases, y)\n"
+    assert _names(ast.parse(snippet)) & FRAME_NAMES == {"_phases", "_from_phased_real"}
+    assert _names(ast.parse("from .fock import _displacement_phases")) & FRAME_NAMES == {
+        "_displacement_phases"
+    }
