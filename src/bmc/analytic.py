@@ -43,13 +43,8 @@ def _check_time(t: float) -> float:
 
 
 def beta_t(params: ChannelParams, t: float) -> float:
-    """Accumulated thermal occupation (beta/gamma)(1 - e^{-gamma t}), for M = 0 only.
-
-    Every closed form goes through here, so this is its one squeezing check.
-    """
+    """Accumulated thermal occupation (beta/gamma)(1 - e^{-gamma t})."""
     t = _check_time(t)
-    if params.m_squeeze != 0:
-        raise InvalidParameterError(f"closed forms need m_squeeze = 0, got {params.m_squeeze}")
     return (params.beta_rate / params.gamma) * -math.expm1(-params.gamma * t)
 
 

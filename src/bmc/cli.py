@@ -210,7 +210,7 @@ def run_validation(
     closed-form displaced thermal state, and its eigenvalue entropy to the
     closed-form entropy of the thermal occupation.
     """
-    dim = DEFAULT_DIM if dim is None else int(dim)
+    dim = DEFAULT_DIM if dim is None else fock._check_dim(dim)
     etas = tuple(complex(e) for e in etas)
     times = tuple(float(t) for t in times)
     if not etas or not times:
@@ -229,7 +229,6 @@ def run_validation(
         inputs.append(rho0)
 
     ordered_times = sorted(set(times))
-    # The closed forms raise here (M != 0) before any integration starts.
     exact_entropy = {t: capacity.g_entropy(analytic.beta_t(params, t)) for t in ordered_times}
     grid: list[tuple[complex, float]] = []
     tds: list[float] = []

@@ -1,9 +1,9 @@
 """Master-equation propagation of a damped bosonic mode in a thermal reservoir.
 
-The generator is applied as shifted multiply-adds on rho, most of them on
-the flattened matrix, O(d^2) per evaluation (the superoperator is never
-materialized), and integrated in the interaction picture, so there is no
-free-Hamiltonian commutator term. `evolve_trajectory` integrates once from
+The generator is applied as shifted multiply-adds on the flattened rho,
+O(d^2) per evaluation (the superoperator is never materialized), and
+integrated in the interaction picture, so there is no free-Hamiltonian
+commutator term. `evolve_trajectory` integrates once from
 t = 0 through every sample time in one adaptive Dormand-Prince 5(4) loop at
 fixed tolerances, which counts its right-hand-side evaluations and checks
 every accepted step in place. A step keeps its seven stage derivatives in one
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -51,26 +51,24 @@ _EVOLVE_PSD_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Physical parameters of the channel.
+    """Physical parameters of the channel: a damped mode in an unsqueezed
+    thermal reservoir (the thermal attenuator). Every field after gamma is
+    keyword-only.
 
     gamma      -- field decay rate (1/s), strictly positive.
     beta_rate  -- thermal noise rate (1/s); the reservoir mean occupation is
                   beta_rate / gamma.
-    m_squeeze  -- reservoir squeezing parameter, bounded by the physicality
-                  condition |M|^2 <= N(N+1). Only the integrator uses it; every
-                  closed form raises InvalidParameterError for M != 0.
     n_bar      -- mean photon number of the input ensemble (dimensionless).
     """
 
     gamma: float
+    _: KW_ONLY
     beta_rate: float = 0.0
-    m_squeeze: complex = 0j
     n_bar: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "beta_rate", float(self.beta_rate))
-        object.__setattr__(self, "m_squeeze", complex(self.m_squeeze))
         object.__setattr__(self, "n_bar", float(self.n_bar))
         if not math.isfinite(self.gamma) or self.gamma <= 0.0:
             raise InvalidParameterError(f"gamma must be > 0, got {self.gamma}")
@@ -78,15 +76,9 @@ class ChannelParams:
             raise InvalidParameterError(f"beta must be >= 0, got {self.beta_rate}")
         if not math.isfinite(self.n_bar) or self.n_bar < 0.0:
             raise InvalidParameterError(f"n_bar must be >= 0, got {self.n_bar}")
-        n_res = self.beta_rate / self.gamma
-        if not math.isfinite(n_res):
+        if not math.isfinite(self.beta_rate / self.gamma):
             raise InvalidParameterError(
                 f"reservoir occupation beta/gamma = {self.beta_rate}/{self.gamma} is not finite"
-            )
-        bound = n_res * (n_res + 1.0)
-        if not abs(self.m_squeeze) ** 2 <= bound + 1e-12 * max(1.0, bound):
-            raise InvalidParameterError(
-                f"m_squeeze violates |M|^2 <= N(N+1): |{self.m_squeeze}|^2 > {bound:.6g}"
             )
 
     @property
@@ -99,22 +91,21 @@ def _generator(dim: int, params: ChannelParams):
     """Return f(rho) = d(rho)/dt on the dim-level truncated Fock space.
 
     a and a^dagger are single off-diagonals, so every term of the generator
-    scales shifted slices of rho and one evaluation costs O(dim^2):
-    (a rho a^dagger)_mn = sqrt((m+1)(n+1)) rho_{m+1,n+1},
-    (a^dagger rho a)_mn = sqrt(mn) rho_{m-1,n-1}, and the squeezing terms
-    are shifts by one or two. The anticommutator pieces form a drift A with
-    A rho + rho A; its diagonal uses the truncated a a^dagger =
-    diag(1, ..., dim-1, 0), whose zero last entry keeps the trace conserved.
+    scales shifted entries of rho and one evaluation costs O(dim^2):
+    (a rho a^dagger)_mn = sqrt((m+1)(n+1)) rho_{m+1,n+1} and
+    (a^dagger rho a)_mn = sqrt(mn) rho_{m-1,n-1}. The anticommutator pieces
+    form a diagonal drift A with A rho + rho A; it uses the truncated
+    a a^dagger = diag(1, ..., dim-1, 0), whose zero last entry keeps the
+    trace conserved.
 
-    The drift, loss and gain terms (the whole generator when M = 0) act on
-    the flattened rho as contiguous multiply-adds: rho_{m+1,n+1} sits
-    dim + 1 entries after rho_mn, and the loss and gain weights have a zero
-    last row and column, so a shift that would wrap into the next row adds
-    nothing. The squeezing terms are 2-D shifted slices.
+    The drift, loss and gain terms act on the flattened rho as contiguous
+    multiply-adds: rho_{m+1,n+1} sits dim + 1 entries after rho_mn, and the
+    loss and gain weights have a zero last row and column, so a shift that
+    would wrap into the next row adds nothing. The coefficients are real, so
+    f keeps a real rho real.
     """
     gamma = params.gamma
     n_res = params.reservoir_photons
-    m = params.m_squeeze
     levels = np.arange(dim, dtype=float)
     anti_number = levels + 1.0
     anti_number[-1] = 0.0
@@ -125,10 +116,6 @@ def _generator(dim: int, params: ChannelParams):
     shift = dim + 1
     loss = ((gamma * (n_res + 1.0)) * weights).ravel()[:-shift]
     gain = ((gamma * n_res) * weights).ravel()[:-shift]
-    if m != 0:
-        # Off-diagonal drift -gamma/2 (M a^dagger^2 + M* a^2) and squeezed sandwiches.
-        pair = (-0.5 * gamma * m) * np.sqrt(levels[1:-1] * levels[2:])
-        sandwich = (gamma * m) * weights[:-1, :-1]
 
     def f(rho: np.ndarray) -> np.ndarray:
         flat = rho.reshape(-1)
@@ -136,15 +123,7 @@ def _generator(dim: int, params: ChannelParams):
         out[:-shift] += loss * flat[shift:]
         if n_res != 0.0:
             out[shift:] += gain * flat[:-shift]
-        out = out.reshape(dim, dim)
-        if m != 0:
-            out[2:, :] += pair[:, None] * rho[:-2, :]
-            out[:-2, :] += pair.conj()[:, None] * rho[2:, :]
-            out[:, :-2] += rho[:, 2:] * pair[None, :]
-            out[:, 2:] += rho[:, :-2] * pair.conj()[None, :]
-            out[1:, :-1] += sandwich * rho[:-1, 1:]
-            out[:-1, 1:] += sandwich.conj() * rho[1:, :-1]
-        return out
+        return out.reshape(dim, dim)
 
     return f
 
@@ -207,7 +186,7 @@ def _check_cutoff(
 ) -> None:
     top = y[-1, -1].real
     if not top <= CUTOFF_POPULATION_LIMIT:
-        # <n>_s = <n>_0 e^{-gamma s} + N (1 - e^{-gamma s}) exactly, for every M;
+        # <n>_s = <n>_0 e^{-gamma s} + N (1 - e^{-gamma s}) exactly;
         # it is monotone in s, so its largest value on [t, t_end] is at an end.
         n0, n_res = mean_photon_number(rho0), params.reservoir_photons
         mean = max(
@@ -238,13 +217,13 @@ def evolve_trajectory(
     state against the invariant triple. A run that needs more than
     MAX_RHS_EVALS right-hand-side evaluations raises StiffnessError.
 
-    For M = 0 the generator has real coefficients and commutes with the
-    diagonal unitary Q of a state's frame, so the integrator steps the core
-    C of rho0 = Q C Q+ and every output is the same Q around C_t. A state
-    built in a displacement's frame (a displaced thermal state, or a
-    coherent input of `bmc validate`) has a real core and so steps in real
-    arithmetic. The error ratio is the same as for the entries, since
-    |(Q E Q+)_mn| = |E_mn|. For M != 0 the entries are stepped.
+    The generator has real coefficients and commutes with the diagonal
+    unitary Q of a state's frame, so the integrator steps the core C of
+    rho0 = Q C Q+ and every output is the same Q around C_t. A state built
+    in a displacement's frame (a displaced thermal state, or a coherent input
+    of `bmc validate`) has a real core and so steps in real arithmetic; any
+    other state's core is its entries. The error ratio is the same as for
+    the entries, since |(Q E Q+)_mn| = |E_mn|.
     Returned states hold read-only copies, never views of the step buffer.
     Each integrated trajectory logs its route, right-hand-side evaluations
     and accepted and rejected steps at DEBUG on the "bmc" logger.
@@ -261,8 +240,7 @@ def evolve_trajectory(
         previous = t
 
     rho0.validate(herm_tol=_EVOLVE_HERM_TOL, trace_tol=math.inf, psd_tol=_EVOLVE_PSD_TOL)
-    in_frame = params.m_squeeze == 0
-    y = np.array(rho0._core if in_frame else rho0.entries)
+    y = np.array(rho0._core)
     _check_trace(y, 0.0)
     states = {0.0: rho0}
     stops = sorted(set(times) - {0.0})
@@ -271,7 +249,7 @@ def evolve_trajectory(
 
     dim = rho0.dim
     f = _generator(dim, params)
-    feeds_photons = params.beta_rate > 0.0 or params.m_squeeze != 0
+    feeds_photons = params.beta_rate > 0.0
     # The seven stage derivatives of a step, in one buffer: ks[0] is k1, and
     # each stage sum is one product of tableau weights with the flat stages.
     ks = np.empty((7, dim, dim), dtype=y.dtype)
@@ -325,8 +303,7 @@ def evolve_trajectory(
             # An accepted step shortened to land on t_stop keeps the size
             # proposed before the shortening, when that is larger.
             h = max(h, h_next) if ok and h_try < h else h_next
-        state = rho0._with_core(y) if in_frame else DensityMatrix(y)
-        states[t_stop] = state.validate(
+        states[t_stop] = rho0._with_core(y).validate(
             herm_tol=_EVOLVE_HERM_TOL,
             trace_tol=_EVOLVE_TRACE_TOL,
             psd_tol=_EVOLVE_PSD_TOL,

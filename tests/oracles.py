@@ -141,27 +141,19 @@ def complex_sandwich_state(state, dim):
 
 def dense_lindblad_rhs(rho, params):
     """Master-equation right-hand side as dense products of the truncated
-    ladder matrices: A rho + rho A plus the four sandwich terms, with the
-    Hermitian drift A = -gamma/2 ((N+1) a^dag a + N a a^dag + M a^dag^2 + M* a^2).
-    Reference for the shifted-slice generator in `bmc.lindblad`."""
+    ladder matrices: A rho + rho A plus the two sandwich terms, with the
+    Hermitian drift A = -gamma/2 ((N+1) a^dag a + N a a^dag).
+    Reference for the shifted multiply-add generator in `bmc.lindblad`."""
     rho = np.asarray(rho, dtype=complex)
     a, adag = ladder_operators(rho.shape[0])
     gamma = params.gamma
     n_res = params.reservoir_photons
-    m = params.m_squeeze
-    drift = (-0.5 * gamma) * (
-        (n_res + 1.0) * (adag @ a)
-        + n_res * (a @ adag)
-        + m * (adag @ adag)
-        + m.conjugate() * (a @ a)
-    )
+    drift = (-0.5 * gamma) * ((n_res + 1.0) * (adag @ a) + n_res * (a @ adag))
     return (
         drift @ rho
         + rho @ drift
         + (gamma * (n_res + 1.0)) * (a @ rho @ adag)
         + (gamma * n_res) * (adag @ rho @ a)
-        + (gamma * m) * (adag @ rho @ adag)
-        + (gamma * m.conjugate()) * (a @ rho @ a)
     )
 
 

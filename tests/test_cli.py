@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from bmc import (
     ChannelParams,
     ConfigError,
+    InvalidDimensionError,
     InvalidParameterError,
     InvalidTimeError,
     NotAStateError,
@@ -296,16 +297,6 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err == "integration failed: trace deviates from 1 by 1.000e-03 > 1.0e-09\n"
 
-    def test_squeezed_reservoir_refused_before_integrating(self, monkeypatch):
-        def no_integration(*args, **kwargs):
-            raise AssertionError("integrated a channel the closed forms cannot check")
-
-        monkeypatch.setattr(lindblad, "evolve_trajectory", no_integration)
-        with pytest.raises(InvalidParameterError, match="m_squeeze"):
-            run_validation(
-                ChannelParams(0.1, 0.01, m_squeeze=0.2), etas=(0.0,), times=(0.1,), dim=10
-            )
-
     def test_impossible_threshold_fails_with_code_2(self, capsys):
         code = cli.main(
             ["validate", "--etas", "0.5", "--times", "0.5", "--dim", "30",
@@ -473,6 +464,12 @@ class TestMisuse:
     def test_run_validation_rejects_bad_tolerance(self, kwarg):
         with pytest.raises(InvalidParameterError, match=kwarg):
             run_validation(REF, etas=(0.0,), times=(0.5,), dim=10, **{kwarg: math.nan})
+
+    @pytest.mark.parametrize("dim", [30.9, "30"])
+    def test_run_validation_rejects_a_non_integer_dimension(self, dim):
+        # 30.9 used to run silently at d = 30, and "30" was accepted
+        with pytest.raises(InvalidDimensionError, match="integer >= 2"):
+            run_validation(REF, etas=(0.0,), times=(0.5,), dim=dim)
 
     @pytest.mark.parametrize("flag", ["--etas", "--times"])
     def test_empty_validation_grid_is_usage_error(self, flag):

@@ -1,15 +1,23 @@
-"""The phase frame of a density matrix is private to `bmc.fock`.
+"""Structural guards on the package.
 
-A state built in a displacement's frame Q keeps its real core R with
-entries = Q R Q+; other modules see only `_core` and `_with_core`. This test
-fails when another module names the frame's parts again, so the frame's
-format cannot leak out of `fock` unnoticed.
+The phase frame of a density matrix is private to `bmc.fock`. A state built
+in a displacement's frame Q keeps its real core R with entries = Q R Q+;
+other modules see only `_core` and `_with_core`. The frame test fails when
+another module names the frame's parts again, so the frame's format cannot
+leak out of `fock` unnoticed.
+
+The channel is the thermal attenuator: `ChannelParams` has no field beyond
+the decay rate, the thermal noise rate and the ensemble's mean photon number.
 """
 
 import ast
+import dataclasses
+import math
 from pathlib import Path
 
 import pytest
+
+from bmc import ChannelParams, InvalidParameterError
 
 SRC = Path(__file__).parent.parent / "src" / "bmc"
 # `_alpha` is where a state keeps its frame's displacement.
@@ -42,3 +50,17 @@ def test_the_guard_sees_the_names():
     assert _names(ast.parse("from .fock import _displacement_phases")) & FRAME_NAMES == {
         "_displacement_phases"
     }
+
+
+def test_channel_params_has_the_thermal_attenuator_fields_only():
+    assert [f.name for f in dataclasses.fields(ChannelParams)] == ["gamma", "beta_rate", "n_bar"]
+    # keyword-only after gamma: a third positional value is not read as n_bar
+    with pytest.raises(TypeError):
+        ChannelParams(0.1, 0.01, 0.2)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["gamma", "beta_rate", "n_bar"])
+def test_channel_params_rejects_non_finite_fields(field, value):
+    with pytest.raises(InvalidParameterError):
+        ChannelParams(**{"gamma": 0.1, field: value})
