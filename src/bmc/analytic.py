@@ -13,9 +13,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, InvalidTimeError, TruncationWarning
+from .errors import InvalidParameterError, TruncationWarning
 from . import fock
-from .fock import DensityMatrix
+from .fock import DensityMatrix, _check_time
 from .lindblad import ChannelParams
 
 
@@ -33,13 +33,6 @@ class GaussianChannelState:
             raise InvalidParameterError(
                 f"thermal occupation must be >= 0, got {self.thermal_photons}"
             )
-
-
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise InvalidTimeError(f"time must be finite and >= 0, got {t}")
-    return t
 
 
 def beta_t(params: ChannelParams, t: float) -> float:

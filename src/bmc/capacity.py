@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analytic import _check_time, beta_t
+from .analytic import beta_t
 from .errors import InvalidParameterError, InvalidTimeError
-from .fock import _check_amplitude
+from .fock import _check_amplitude, _check_time
 from .lindblad import ChannelParams
 
 _LN2 = math.log(2.0)

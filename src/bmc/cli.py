@@ -85,14 +85,15 @@ class SweepSpec:
             raise InvalidParameterError(
                 f"swept must be one of {_SWEPT_CHOICES}, got {self.swept!r}"
             )
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, fock._check_real(getattr(self, name), name))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise InvalidParameterError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
-        if self.steps < 2:
-            raise InvalidParameterError(f"steps must be >= 2, got {self.steps}")
-        object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
-        for t in self.t_grid:
-            if not math.isfinite(t) or t < 0.0:
-                raise InvalidTimeError(f"t_grid values must be >= 0, got {t}")
+        steps = self.steps
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 2:
+            raise InvalidParameterError(f"steps must be an integer >= 2, got {steps!r}")
+        grid = tuple(fock._check_time(t, "t_grid values") for t in self.t_grid)
+        object.__setattr__(self, "t_grid", grid)
         if self.swept == "t":
             if self.lo < 0.0:
                 raise InvalidTimeError("swept times must be >= 0")
@@ -211,8 +212,8 @@ def run_validation(
     closed-form entropy of the thermal occupation.
     """
     dim = DEFAULT_DIM if dim is None else fock._check_dim(dim)
-    etas = tuple(complex(e) for e in etas)
-    times = tuple(float(t) for t in times)
+    etas = tuple(fock._check_amplitude(e) for e in etas)
+    times = tuple(fock._check_real(t, "time", InvalidTimeError) for t in times)
     if not etas or not times:
         raise InvalidParameterError("validation needs at least one eta and one time")
     for name, tol in (("trace_tol", trace_tol), ("entropy_tol", entropy_tol)):

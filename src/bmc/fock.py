@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -19,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidDimensionError,
     InvalidParameterError,
+    InvalidTimeError,
     NotAStateError,
     TruncationWarning,
 )
@@ -189,7 +191,24 @@ def number_state(n: int, dim: int) -> StateVector:
     return StateVector(vec)
 
 
+def _check_real(value, what: str, error: type[ValueError] = InvalidParameterError) -> float:
+    """value as a float; a str, bool, complex or other non-real raises error."""
+    # a float skips the abstract-class check, which is slow
+    if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
+        raise error(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _check_time(t, what: str = "time") -> float:
+    t = _check_real(t, what, InvalidTimeError)
+    if not math.isfinite(t) or t < 0.0:
+        raise InvalidTimeError(f"{what} must be finite and >= 0, got {t}")
+    return t
+
+
 def _check_amplitude(eta) -> complex:
+    if isinstance(eta, bool) or not isinstance(eta, numbers.Complex):
+        raise InvalidParameterError(f"coherent amplitude must be a number, got {eta!r}")
     # |eta|^2 is checked as well: one that overflows would make every
     # Poisson weight NaN and the truncation loss a silent zero.
     eta = complex(eta)

@@ -6,9 +6,8 @@ integrated in the interaction picture, so there is no free-Hamiltonian
 commutator term. `evolve_trajectory` integrates once from
 t = 0 through every sample time in one adaptive Dormand-Prince 5(4) loop at
 fixed tolerances, which counts its right-hand-side evaluations and checks
-every accepted step in place. A step keeps its seven stage derivatives in one
-buffer per trajectory, so each stage, the new state and the error estimate
-are one matrix-vector product with a tableau row.
+every accepted step in place. The generator L is linear, so a step is its
+stability polynomial, summed over the powers (hL)^k y.
 """
 
 from __future__ import annotations
@@ -25,7 +24,9 @@ from .errors import (
     StiffnessError,
     TruncationError,
 )
-from .fock import DensityMatrix, _displaced_thermal_dim, mean_photon_number
+from .fock import (
+    DensityMatrix, _check_real, _check_time, _displaced_thermal_dim, mean_photon_number
+)
 
 _log = logging.getLogger("bmc")
 
@@ -67,9 +68,8 @@ class ChannelParams:
     n_bar: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "beta_rate", float(self.beta_rate))
-        object.__setattr__(self, "n_bar", float(self.n_bar))
+        for name in ("gamma", "beta_rate", "n_bar"):
+            object.__setattr__(self, name, _check_real(getattr(self, name), name))
         if not math.isfinite(self.gamma) or self.gamma <= 0.0:
             raise InvalidParameterError(f"gamma must be > 0, got {self.gamma}")
         if not math.isfinite(self.beta_rate) or self.beta_rate < 0.0:
@@ -137,22 +137,10 @@ def lindblad_rhs(rho: DensityMatrix, params: ChannelParams) -> DensityMatrix:
     return DensityMatrix(_generator(rho.dim, params)(rho.entries))
 
 
-# Dormand-Prince 5(4) tableau (the propagated solution is 5th order). Row i
-# of A weighs stages 0 .. i; B and E weigh the stages of one step at once.
-_DP_A = tuple(
-    np.array(row)
-    for row in (
-        (1 / 5,),
-        (3 / 40, 9 / 40),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    )
-)
-_DP_B = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
-_DP_E = np.array(
-    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-)
+# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 19 (1980)) on a linear L, from its tableau:
+# with p_k = (hL)^k y a step is y1 = y + sum_k R_k p_k, its error sum_k E_k p_k - (h/40) L y1.
+_DP_R = (1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600)
+_DP_E = (1 / 40, 1 / 40, 1 / 80, 1 / 240, 7 / 30000, 1 / 1875)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -217,6 +205,10 @@ def evolve_trajectory(
     state against the invariant triple. A run that needs more than
     MAX_RHS_EVALS right-hand-side evaluations raises StiffnessError.
 
+    A step of size h is y1 = R(hL) y with the stability polynomial
+    R(z) = sum_{k<=5} z^k/k! + z^6/600, made from h k1 and five more
+    right-hand-side evaluations; a sixth gives L y1, the next k1.
+
     The generator has real coefficients and commutes with the diagonal
     unitary Q of a state's frame, so the integrator steps the core C of
     rho0 = Q C Q+ and every output is the same Q around C_t. A state built
@@ -228,16 +220,11 @@ def evolve_trajectory(
     Each integrated trajectory logs its route, right-hand-side evaluations
     and accepted and rejected steps at DEBUG on the "bmc" logger.
     """
-    times = [float(t) for t in times]
+    times = [_check_time(t, "sample times") for t in times]
     if not times:
         raise InvalidTimeError("no sample times given")
-    previous = 0.0
-    for t in times:
-        if not math.isfinite(t) or t < 0.0:
-            raise InvalidTimeError(f"sample times must be finite and >= 0, got {t}")
-        if t < previous:
-            raise InvalidTimeError("sample times must be nondecreasing")
-        previous = t
+    if any(later < t for t, later in zip(times, times[1:])):
+        raise InvalidTimeError("sample times must be nondecreasing")
 
     rho0.validate(herm_tol=_EVOLVE_HERM_TOL, trace_tol=math.inf, psd_tol=_EVOLVE_PSD_TOL)
     y = np.array(rho0._core)
@@ -250,17 +237,13 @@ def evolve_trajectory(
     dim = rho0.dim
     f = _generator(dim, params)
     feeds_photons = params.beta_rate > 0.0
-    # The seven stage derivatives of a step, in one buffer: ks[0] is k1, and
-    # each stage sum is one product of tableau weights with the flat stages.
-    ks = np.empty((7, dim, dim), dtype=y.dtype)
-    stages = ks.reshape(7, -1)
-    ks[0] = f(y)
+    k1 = f(y)
     evals, accepted, rejected = 1, 0, 0
     # Initial step from the size of the state and its derivative; a state that
     # does not move tries one step to the last sample time.
     scale = _ABS_TOL + _REL_TOL * np.abs(y)
     d0 = float(np.sqrt(np.mean((np.abs(y) / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((np.abs(ks[0]) / scale) ** 2)))
+    d1 = float(np.sqrt(np.mean((np.abs(k1) / scale) ** 2)))
     h = stops[-1] if (d0 < 1e-8 or d1 < 1e-8) else 0.01 * d0 / d1
     t = 0.0
     for t_stop in stops:
@@ -278,12 +261,15 @@ def evolve_trajectory(
                 )
             final = h >= t_stop - t
             h_try = t_stop - t if final else h
-            for i, row in enumerate(_DP_A, start=1):
-                ks[i] = f(y + ((h_try * row) @ stages[:i]).reshape(dim, dim))
-            y_new = y + ((h_try * _DP_B) @ stages[:6]).reshape(dim, dim)
-            ks[6] = f(y_new)
+            p = h_try * k1  # p = (hL)^k y, k = 1 .. 6
+            y_new, err = y + p, _DP_E[0] * p
+            for r, e in zip(_DP_R[1:], _DP_E[1:]):
+                p = h_try * f(p)
+                y_new += r * p
+                err += e * p
+            k_new = f(y_new)
             evals += 6
-            ratio = _error_ratio((h_try * _DP_E) @ stages, y, y_new)
+            ratio = _error_ratio(err - (h_try / 40) * k_new, y, y_new)
             ok = math.isfinite(ratio) and ratio <= 1.0
             if ok:
                 accepted += 1
@@ -293,7 +279,7 @@ def evolve_trajectory(
                 _check_trace(y, t)
                 if feeds_photons:
                     _check_cutoff(y, t, times[-1], rho0, params)
-                ks[0] = ks[6]  # first-same-as-last reuse
+                k1 = k_new  # first-same-as-last reuse
                 factor = _MAX_FACTOR if ratio == 0.0 else _SAFETY * ratio ** -0.2
             else:
                 # Step rejected: y and k1 stay valid, only h shrinks.

@@ -7,6 +7,7 @@ and entropies by direct summation over distributions.
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
@@ -155,6 +156,55 @@ def dense_lindblad_rhs(rho, params):
         + (gamma * (n_res + 1.0)) * (a @ rho @ adag)
         + (gamma * n_res) * (adag @ rho @ a)
     )
+
+
+# Classical Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl.
+# Math. 6, 19 (1980)) in exact fractions. Row i of DP_A weighs the stages
+# before stage i + 1; DP_B weighs the first six stages into the fifth-order
+# solution, and DP_E all seven into the error estimate, the seventh stage
+# being f at that solution.
+DP_A = tuple(
+    tuple(map(Fraction, row))
+    for row in (
+        ("1/5",),
+        ("3/40", "9/40"),
+        ("44/45", "-56/15", "32/9"),
+        ("19372/6561", "-25360/2187", "64448/6561", "-212/729"),
+        ("9017/3168", "-355/33", "46732/5247", "49/176", "-5103/18656"),
+    )
+)
+DP_B = tuple(map(Fraction, ("35/384", "0", "500/1113", "125/192", "-2187/6784", "11/84")))
+DP_E = tuple(
+    map(Fraction, ("71/57600", "0", "-71/16695", "71/1920", "-17253/339200", "22/525", "-1/40"))
+)
+
+
+def dormand_prince_linear_step():
+    """The tableau's step on a linear y' = L y, in exact arithmetic.
+
+    Returns (R, E, e_new): with z = hL, the step is y1 = sum_k R[k] z^k y and
+    its error estimate sum_k E[k] z^k y + e_new z y1. Each stage h k_i is a
+    polynomial in z applied to y, held as its list of coefficients.
+    """
+
+    def axpy(a, x, y):
+        n = max(len(x), len(y))
+        x, y = x + [Fraction(0)] * (n - len(x)), y + [Fraction(0)] * (n - len(y))
+        return [a * xi + yi for xi, yi in zip(x, y)]
+
+    stages = [[Fraction(0), Fraction(1)]]  # h k1 = z y
+    for row in DP_A:
+        arg = [Fraction(1)]
+        for a, stage in zip(row, stages):
+            arg = axpy(a, stage, arg)
+        stages.append([Fraction(0)] + arg)  # h k_i = z (y + sum_j a_ij h k_j)
+    step = [Fraction(1)]
+    for b, stage in zip(DP_B, stages):
+        step = axpy(b, stage, step)
+    error = [Fraction(0)]
+    for e, stage in zip(DP_E[:6], stages):
+        error = axpy(e, stage, error)
+    return step, error, DP_E[6]
 
 
 def golden_section_maximize(

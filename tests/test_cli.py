@@ -471,6 +471,21 @@ class TestMisuse:
         with pytest.raises(InvalidDimensionError, match="integer >= 2"):
             run_validation(REF, etas=(0.0,), times=(0.5,), dim=dim)
 
+    @pytest.mark.parametrize(
+        "grid, error",
+        [
+            ({"etas": ("1+1j",)}, InvalidParameterError),
+            ({"etas": (True,)}, InvalidParameterError),
+            ({"times": ("0.5",)}, InvalidTimeError),
+            ({"times": (0.5 + 0j,)}, InvalidTimeError),
+        ],
+        ids=["eta-str", "eta-bool", "time-str", "time-complex"],
+    )
+    def test_run_validation_rejects_a_mistyped_grid(self, grid, error):
+        # complex() and float() used to parse "1+1j" and "0.5", and it ran
+        with pytest.raises(error, match="must be a"):
+            run_validation(REF, **{"etas": (0.0,), "times": (0.5,), "dim": 10, **grid})
+
     @pytest.mark.parametrize("flag", ["--etas", "--times"])
     def test_empty_validation_grid_is_usage_error(self, flag):
         assert cli.main(["validate", flag, ""]) == EXIT_USAGE
@@ -487,6 +502,28 @@ class TestMisuse:
     def test_sweep_spec_rejects_nonfinite_range(self):
         with pytest.raises(InvalidParameterError, match="finite"):
             SweepSpec("t", 0.5, math.inf, 3, REF)
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("lo", "0", InvalidParameterError),
+            ("hi", True, InvalidParameterError),
+            ("steps", 3.0, InvalidParameterError),
+            ("steps", True, InvalidParameterError),
+            ("t_grid", ("1",), InvalidTimeError),
+        ],
+    )
+    def test_sweep_spec_rejects_a_mistyped_field(self, field, value, error):
+        # steps=3.0 used to build and then fail in sweep_rows with a bare
+        # TypeError, as lo="0" did at once
+        fields = {"swept": "n_bar", "lo": 1.0, "hi": 2.0, "steps": 3, "fixed": REF}
+        with pytest.raises(error, match=f"{field} .*must be a"):
+            SweepSpec(**{**fields, field: value})
+
+    def test_sweep_spec_accepts_ints_and_numpy_reals(self):
+        spec = SweepSpec("n_bar", np.int64(1), 2, np.int64(3), REF, t_grid=(np.float32(1), 5))
+        assert (spec.lo, spec.hi, spec.t_grid) == (1.0, 2.0, (1.0, 5.0))
+        assert len(sweep_rows(spec)) == 3 * 2
 
     def test_empty_time_grid_is_usage_error(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -550,8 +587,8 @@ def _hostile_command(draw):
             *flag("t-grid", st.lists(value, max_size=3).map(",".join)),
         ]
     elif command == "validate":
-        # one eta and one time; --dim stays small, a (7, dim, dim) stage
-        # buffer is allocated per trajectory
+        # one eta and one time; --dim stays small, each step of a
+        # trajectory evaluates the O(dim^2) generator six times
         argv += ["--etas=0.5", "--times=1", f"--dim={draw(st.integers(-1, 40))}"]
     else:
         argv += [*flag("t"), *flag("search-max")]
