@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, TruncationWarning
+from .errors import TruncationWarning
 from . import fock
 from .fock import DensityMatrix, _check_time
 from .lindblad import ChannelParams
@@ -28,11 +28,8 @@ class GaussianChannelState:
 
     def __post_init__(self):
         object.__setattr__(self, "displacement", fock._check_amplitude(self.displacement))
-        object.__setattr__(self, "thermal_photons", float(self.thermal_photons))
-        if not math.isfinite(self.thermal_photons) or self.thermal_photons < 0.0:
-            raise InvalidParameterError(
-                f"thermal occupation must be >= 0, got {self.thermal_photons}"
-            )
+        thermal = fock._check_real(self.thermal_photons, "thermal occupation")
+        object.__setattr__(self, "thermal_photons", thermal)
 
 
 def beta_t(params: ChannelParams, t: float) -> float:
@@ -51,7 +48,7 @@ def evolve_coherent_analytic(
     """
     t = _check_time(t)
     return GaussianChannelState(
-        displacement=complex(eta) * math.exp(-0.5 * params.gamma * t),
+        displacement=fock._check_amplitude(eta) * math.exp(-0.5 * params.gamma * t),
         thermal_photons=beta_t(params, t),
     )
 

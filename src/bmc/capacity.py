@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .analytic import beta_t
-from .errors import InvalidParameterError, InvalidTimeError
-from .fock import _check_amplitude, _check_time
+from .errors import InvalidParameterError
+from .fock import _check_amplitude, _check_real, _check_time
 from .lindblad import ChannelParams
 
 _LN2 = math.log(2.0)
@@ -35,9 +35,7 @@ def g_entropy(x: float) -> float:
     For x > 1 it is evaluated as log2(1 + x) + x log2(1 + 1/x), which
     avoids the cancellation of the two large terms.
     """
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise InvalidParameterError(f"mean occupation must be >= 0, got {x}")
+    x = _check_real(x, "mean occupation")
     if x == 0.0:
         return 0.0
     if x > 1.0:
@@ -138,9 +136,8 @@ def theta_curve(params: ChannelParams, t: float, n_bars) -> list[float]:
     """
     bt, decay, damping = _channel_terms(params, t)
     values = []
-    for n_bar in map(float, n_bars):
-        if not math.isfinite(n_bar) or n_bar < 0.0:
-            raise InvalidParameterError(f"n_bar must be >= 0, got {n_bar}")
+    for n_bar in n_bars:
+        n_bar = _check_real(n_bar, "n_bar")
         values.append((1.0 / (1.0 + bt + n_bar * damping)) * _chi(bt, n_bar * decay))
     return values
 
@@ -166,10 +163,12 @@ class CapacityPoint:
 
 
 def capacity_point(params: ChannelParams, t: float) -> CapacityPoint:
-    """Evaluate capacity, average fidelity and their product at time t."""
-    chi = channel_capacity(params, t)
-    fbar = average_fidelity(params, t)
-    return CapacityPoint(t=float(t), chi=chi, avg_fidelity=fbar, theta=chi * fbar)
+    """Capacity, average fidelity and their product at time t, from one set of channel terms."""
+    t = _check_time(t)
+    bt, decay, damping = _channel_terms(params, t)
+    chi = _chi(bt, params.n_bar * decay)
+    fbar = 1.0 / (1.0 + bt + params.n_bar * damping)
+    return CapacityPoint(t=t, chi=chi, avg_fidelity=fbar, theta=chi * fbar)
 
 
 @dataclass(frozen=True)
@@ -203,12 +202,8 @@ def criterion_residual(n_bar: float, params: ChannelParams, t: float) -> float:
     optimum. Raises InvalidParameterError when the residual is not a finite
     double (a overflows beyond gamma t of about 1419, or b underflows to 0).
     """
-    n_bar = float(n_bar)
-    t = float(t)
-    if n_bar <= 0.0:
-        raise InvalidParameterError(f"n_bar must be > 0, got {n_bar}")
-    if not math.isfinite(t) or t <= 0.0:
-        raise InvalidTimeError(f"time must be finite and > 0, got {t}")
+    n_bar = _check_real(n_bar, "n_bar", positive=True)
+    t = _check_time(t, positive=True)
     bt = beta_t(params, t)
     b = bt + n_bar * math.exp(-params.gamma * t)
     try:
@@ -294,12 +289,8 @@ def optimal_nbar(
     residual outgrows a double (an optimum at gamma t near 700 or beyond) it
     is reported as NaN and the optimum is still returned.
     """
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0:
-        raise InvalidTimeError(f"optimal signal search needs t > 0, got {t}")
-    search_max = float(search_max)
-    if not math.isfinite(search_max) or search_max <= 0.0:
-        raise InvalidParameterError(f"search_max must be finite and > 0, got {search_max}")
+    t = _check_time(t, positive=True)
+    search_max = _check_real(search_max, "search_max", positive=True)
 
     slope_args = _channel_terms(params, t)
     bt, decay, _ = slope_args

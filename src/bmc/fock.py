@@ -184,38 +184,55 @@ def _check_dim(dim) -> int:
 def number_state(n: int, dim: int) -> StateVector:
     """Number state |n> on the truncated space."""
     dim = _check_dim(dim)
-    if not 0 <= n < dim:
-        raise InvalidDimensionError(f"number state index {n} outside 0..{dim - 1}")
+    # a bool would index as a mask
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n < dim:
+        raise InvalidDimensionError(
+            f"number state index must be an integer in 0..{dim - 1}, got {n!r}"
+        )
     vec = np.zeros(dim, dtype=complex)
     vec[n] = 1.0
     return StateVector(vec)
 
 
-def _check_real(value, what: str, error: type[ValueError] = InvalidParameterError) -> float:
-    """value as a float; a str, bool, complex or other non-real raises error."""
-    # a float skips the abstract-class check, which is slow
-    if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
+def _check_real(
+    value, what: str, error: type[ValueError] = InvalidParameterError, *, positive: bool = False
+) -> float:
+    """value as a finite float >= 0, or > 0 when `positive` is set.
+
+    The one reader of a real argument in bmc: every one is a rate,
+    occupation, time, tolerance or bound, so none may be negative. Ints and
+    numpy reals are accepted; a str, bool, complex, NaN, +-inf or negative
+    value (zero as well when `positive`) raises `error`, naming `what`.
+    """
+    # A float in range returns at once, and a numpy float after one
+    # conversion: the abstract-class check below costs about 1 us, and a
+    # `design_sweep` op makes about 1500 of these checks.
+    x = value if type(value) is float else float(value) if isinstance(value, float) else math.nan
+    if 0.0 < x < math.inf or (x == 0.0 and not positive):
+        return x
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the largest double
+        x = math.inf
+    if not (math.isfinite(x) and (x > 0.0 if positive else x >= 0.0)):
+        raise error(f"{what} must be finite and {'> 0' if positive else '>= 0'}, got {x}")
+    return x
 
 
-def _check_time(t, what: str = "time") -> float:
-    t = _check_real(t, what, InvalidTimeError)
-    if not math.isfinite(t) or t < 0.0:
-        raise InvalidTimeError(f"{what} must be finite and >= 0, got {t}")
-    return t
+def _check_time(t, what: str = "time", *, positive: bool = False) -> float:
+    return _check_real(t, what, InvalidTimeError, positive=positive)
 
 
-def _check_amplitude(eta) -> complex:
+def _check_amplitude(eta, what: str = "coherent amplitude") -> complex:
     if isinstance(eta, bool) or not isinstance(eta, numbers.Complex):
-        raise InvalidParameterError(f"coherent amplitude must be a number, got {eta!r}")
+        raise InvalidParameterError(f"{what} must be a number, got {eta!r}")
     # |eta|^2 is checked as well: one that overflows would make every
     # Poisson weight NaN and the truncation loss a silent zero.
     eta = complex(eta)
     if not math.isfinite(eta.real * eta.real + eta.imag * eta.imag):
-        raise InvalidParameterError(
-            f"coherent amplitude must be finite, with a finite |eta|^2, got {eta}"
-        )
+        raise InvalidParameterError(f"{what} must be finite, with a finite |eta|^2, got {eta}")
     return eta
 
 
@@ -369,7 +386,7 @@ def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     exponential of the truncated generator gives.
     """
     dim = _check_dim(dim)
-    alpha = complex(alpha)
+    alpha = _check_amplitude(alpha, "displacement")
     if alpha == 0:
         return np.eye(dim, dtype=complex)
     _warn_if_truncated(alpha, dim)
@@ -397,10 +414,8 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMat
     arithmetic.
     """
     dim = _check_dim(dim)
-    alpha = complex(alpha)
-    n_th = float(n_th)
-    if not math.isfinite(n_th) or n_th < 0.0:
-        raise InvalidParameterError(f"thermal occupation must be >= 0, got {n_th}")
+    alpha = _check_amplitude(alpha, "displacement")
+    n_th = _check_real(n_th, "thermal occupation")
     ratio = n_th / (1.0 + n_th)
     tail = ratio**dim
     if tail > COHERENT_LOSS_TOL:
@@ -456,7 +471,7 @@ def fidelity_with_coherent(rho: DensityMatrix, eta: complex) -> float:
     The imaginary part of the raw matrix element must vanish to 1e-10; a
     larger value means rho is not Hermitian enough to be a state.
     """
-    amps, loss = _coherent_amplitudes(complex(eta), rho.dim)
+    amps, loss = _coherent_amplitudes(eta, rho.dim)
     if loss > COHERENT_LOSS_TOL:
         warnings.warn(
             f"fidelity with |{eta}> is truncated (loss {loss:.3e}) at dim={rho.dim}",
@@ -507,18 +522,14 @@ def field_amplitude(rho: DensityMatrix) -> complex:
 
 def suggested_dim(mean_photons: float, variance: float) -> int:
     """Truncation heuristic: dim >= mean + 8 sqrt(variance + 1) + 10."""
-    if not (0.0 <= mean_photons < math.inf and 0.0 <= variance < math.inf):
-        raise InvalidParameterError(
-            f"photon-number moments must be finite and >= 0, got mean {mean_photons}, "
-            f"variance {variance}"
-        )
+    mean_photons = _check_real(mean_photons, "mean photon number")
+    variance = _check_real(variance, "photon-number variance")
     return max(2, math.ceil(mean_photons + 8.0 * math.sqrt(variance + 1.0) + 10.0))
 
 
 def thermal_tail_dim(n_th: float) -> int:
     """Smallest dim whose truncated thermal tail weight is at most 1e-9."""
-    if not 0.0 <= n_th < math.inf:
-        raise InvalidParameterError(f"thermal occupation must be finite and >= 0, got {n_th}")
+    n_th = _check_real(n_th, "thermal occupation")
     if n_th == 0.0:
         return 2
     # (n / (1 + n))^dim <= tail; log1p(1 / n) stays nonzero where n / (1 + n) rounds to 1.

@@ -69,13 +69,8 @@ class ChannelParams:
 
     def __post_init__(self):
         for name in ("gamma", "beta_rate", "n_bar"):
-            object.__setattr__(self, name, _check_real(getattr(self, name), name))
-        if not math.isfinite(self.gamma) or self.gamma <= 0.0:
-            raise InvalidParameterError(f"gamma must be > 0, got {self.gamma}")
-        if not math.isfinite(self.beta_rate) or self.beta_rate < 0.0:
-            raise InvalidParameterError(f"beta must be >= 0, got {self.beta_rate}")
-        if not math.isfinite(self.n_bar) or self.n_bar < 0.0:
-            raise InvalidParameterError(f"n_bar must be >= 0, got {self.n_bar}")
+            value = _check_real(getattr(self, name), name, positive=name == "gamma")
+            object.__setattr__(self, name, value)
         if not math.isfinite(self.beta_rate / self.gamma):
             raise InvalidParameterError(
                 f"reservoir occupation beta/gamma = {self.beta_rate}/{self.gamma} is not finite"
@@ -216,6 +211,10 @@ def evolve_trajectory(
     of `bmc validate`) has a real core and so steps in real arithmetic; any
     other state's core is its entries. The error ratio is the same as for
     the entries, since |(Q E Q+)_mn| = |E_mn|.
+    The core is made exactly Hermitian once, as (C + C+)/2, before the first
+    step. The generator's weights are symmetric in (m, n) and a step forms
+    only real combinations of its outputs, so every step keeps it exactly
+    Hermitian.
     Returned states hold read-only copies, never views of the step buffer.
     Each integrated trajectory logs its route, right-hand-side evaluations
     and accepted and rejected steps at DEBUG on the "bmc" logger.
@@ -227,7 +226,8 @@ def evolve_trajectory(
         raise InvalidTimeError("sample times must be nondecreasing")
 
     rho0.validate(herm_tol=_EVOLVE_HERM_TOL, trace_tol=math.inf, psd_tol=_EVOLVE_PSD_TOL)
-    y = np.array(rho0._core)
+    y = rho0._core + rho0._core.conj().T  # exactly Hermitian from here on
+    y *= 0.5
     _check_trace(y, 0.0)
     states = {0.0: rho0}
     stops = sorted(set(times) - {0.0})
@@ -274,8 +274,7 @@ def evolve_trajectory(
             if ok:
                 accepted += 1
                 t = t_stop if final else t + h_try
-                y = y_new + y_new.conj().T
-                y *= 0.5
+                y = y_new
                 _check_trace(y, t)
                 if feeds_photons:
                     _check_cutoff(y, t, times[-1], rho0, params)

@@ -486,6 +486,14 @@ class TestMisuse:
         with pytest.raises(error, match="must be a"):
             run_validation(REF, **{"etas": (0.0,), "times": (0.5,), "dim": 10, **grid})
 
+    def test_negative_time_is_usage_error_before_any_truncation_check(self, capsys):
+        # the grid's times are read before its inputs are built: at dim 10 the
+        # default input |1+1j> is truncated, which used to be reported instead
+        assert cli.main(["validate", "--times", "-1", "--dim", "10"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "time must be finite and >= 0, got -1.0" in captured.err
+
     @pytest.mark.parametrize("flag", ["--etas", "--times"])
     def test_empty_validation_grid_is_usage_error(self, flag):
         assert cli.main(["validate", flag, ""]) == EXIT_USAGE

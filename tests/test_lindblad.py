@@ -158,6 +158,26 @@ class TestGeneratorEquivalence:
         assert np.max(np.abs(drho - drho.conj().T)) <= 1e-15 * scale
 
 
+class TestExactHermiticity:
+    """The core is symmetrized once, before the first step; the generator's
+    symmetric weights keep it exactly Hermitian through every step."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 50])
+    @pytest.mark.parametrize("beta_rate", [0.0, 0.2, 3.0])
+    def test_generator_keeps_an_exactly_hermitian_input_exactly_hermitian(self, dim, beta_rate):
+        y = _random_hermitian(dim, 200 + dim)
+        assert np.array_equal(y, y.conj().T)
+        out = lindblad._generator(dim, ChannelParams(gamma=0.3, beta_rate=beta_rate))(y)
+        assert np.array_equal(out, out.conj().T)
+
+    @pytest.mark.parametrize("params", GENERATOR_PARAMS, ids=["loss", "thermal"])
+    def test_returned_cores_are_exactly_hermitian(self, params):
+        rho0 = _random_mixed_state(40, 7)
+        assert not np.array_equal(rho0._core, rho0._core.conj().T)
+        for _, state in evolve_trajectory(rho0, params, [0.3, 1.0, 4.0]):
+            assert np.array_equal(state._core, state._core.conj().T)
+
+
 class TestFlatShift:
     """The loss and gain terms shift the flattened rho by dim + 1 entries; their
     weights vanish where such a shift would wrap into the next row."""

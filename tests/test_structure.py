@@ -6,6 +6,11 @@ other modules see only `_core` and `_with_core`. The frame test fails when
 another module names the frame's parts again, so the frame's format cannot
 leak out of `fock` unnoticed.
 
+Every public number and amplitude is read through `fock._check_real`,
+`_check_time` or `_check_amplitude`. The coercion test fails when a public
+function applies `float()` or `complex()` to one of its own parameters, the
+hand-rolled guard that let a str or a bool through.
+
 The channel is the thermal attenuator: `ChannelParams` has no field beyond
 the decay rate, the thermal noise rate and the ensemble's mean photon number.
 """
@@ -50,6 +55,49 @@ def test_the_guard_sees_the_names():
     assert _names(ast.parse("from .fock import _displacement_phases")) & FRAME_NAMES == {
         "_displacement_phases"
     }
+
+
+COERCIONS = {"float", "complex"}
+
+
+def _coerced_parameters(tree: ast.AST) -> set[str]:
+    """`function:parameter` for each public function that applies float() or
+    complex() to one of its own parameters, directly or through map()."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        if func.name.startswith("_") and not func.name.endswith("__"):
+            continue
+        params = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+        for call in ast.walk(func):
+            if not isinstance(call, ast.Call) or not isinstance(call.func, ast.Name):
+                continue
+            args = call.args
+            if call.func.id == "map" and args and isinstance(args[0], ast.Name):
+                coercion, args = args[0].id, args[1:]
+            else:
+                coercion = call.func.id
+            if coercion in COERCIONS:
+                names = {a.id for a in args if isinstance(a, ast.Name)}
+                found.update(f"{func.name}:{name}" for name in names & params)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_public_function_coerces_its_own_parameters(path):
+    assert _coerced_parameters(ast.parse(path.read_text(), filename=str(path))) == set()
+
+
+def test_the_guard_sees_the_coercions():
+    # the guards `g_entropy` and `theta_curve` once held
+    snippet = (
+        "def g_entropy(x):\n    x = float(x)\n"
+        "def theta_curve(params, t, n_bars):\n    for n in map(float, n_bars):\n        pass\n"
+        "def _private(x):\n    return complex(x)\n"
+        "def field(rho):\n    return complex(sum(rho))\n"
+    )
+    assert _coerced_parameters(ast.parse(snippet)) == {"g_entropy:x", "theta_curve:n_bars"}
 
 
 def test_channel_params_has_the_thermal_attenuator_fields_only():
