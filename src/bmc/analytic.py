@@ -73,6 +73,7 @@ def suggested_dim(state: GaussianChannelState) -> int:
 
 def to_density_matrix(state: GaussianChannelState, dim: int) -> DensityMatrix:
     """Explicit truncated matrix D(d) thermal(n_th) D+(d), renormalized."""
+    dim = fock._check_dim(dim)
     needed = suggested_dim(state)
     if dim < needed:
         warnings.warn(

@@ -80,8 +80,8 @@ class DensityMatrix:
         a displacement by alpha = r e^{i phi} (`_displacement_phases`).
 
         `entries` is formed here from (Q, R), so the two cannot disagree, and
-        `spectrum` diagonalizes the read-only R, which has the same
-        eigenvalues because Q is unitary.
+        `spectrum`, unless the builder sets it, diagonalizes the read-only R,
+        which has the same eigenvalues because Q is unitary.
         """
         alpha, real = complex(alpha), np.array(real, dtype=float)
         phases = _displacement_phases(alpha, real.shape[0])
@@ -109,8 +109,10 @@ class DensityMatrix:
         """Eigenvalues in ascending order, computed once per state; read-only.
 
         An exactly diagonal matrix (thermal and mixed states) skips the
-        solver, and a state built in a frame diagonalizes its real core.
-        `validate` and `von_neumann_entropy` both read this.
+        solver, a displaced thermal state carries the spectrum it was built
+        from (`displaced_thermal_state`), and any other state built in a
+        frame diagonalizes its real core. `validate` and
+        `von_neumann_entropy` both read this.
         """
         mat = self._core
         diagonal = np.diagonal(mat)
@@ -410,8 +412,12 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMat
     displacement moves past the cutoff, exceeds COHERENT_LOSS_TOL. At
     alpha = 0 the state is diagonal. Otherwise diag(w) commutes with Q', so
     the state is Q' R Q'+ with the real symmetric R = O(r) diag(w) O(r)^T,
-    built and, through `DensityMatrix.spectrum`, diagonalized in real
-    arithmetic.
+    built in real arithmetic and divided by its trace. O(r) is orthogonal,
+    so the state's `spectrum` is set here, with no eigensolve: the kept
+    weights over that trace and a zero for each dropped level. `validate`
+    checks Hermiticity and the trace on R; its positivity check reads that
+    spectrum, which is sound because O diag(w) O^T with w >= 0 is positive
+    semidefinite by construction.
     """
     dim = _check_dim(dim)
     alpha = _check_amplitude(alpha, "displacement")
@@ -436,8 +442,13 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMat
     kept = weights > _NEGLIGIBLE_WEIGHT * weights.max()
     columns = _real_displacement(abs(alpha), dim)[:, kept]
     real = (columns * weights[kept]) @ columns.T
-    real /= np.trace(real)
-    return DensityMatrix._from_phased_real(alpha, real).validate()
+    trace = np.trace(real)
+    real /= trace
+    spectrum = np.sort(np.where(kept, weights / trace, 0.0))
+    spectrum.setflags(write=False)
+    rho = DensityMatrix._from_phased_real(alpha, real)
+    object.__setattr__(rho, "spectrum", spectrum)  # the cached property's value
+    return rho.validate()
 
 
 def thermal_state(n_th: float, dim: int) -> DensityMatrix:

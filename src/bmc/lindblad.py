@@ -189,7 +189,8 @@ def evolve_trajectory(
 ) -> list[tuple[float, DensityMatrix]]:
     """Propagate rho0 and return the state at each requested time.
 
-    `times` must be finite, nonnegative and nondecreasing; one integration
+    `times` must be a sequence of finite, nonnegative and nondecreasing
+    times (a single number raises InvalidTimeError); one integration
     from t = 0 passes through all of them, t = 0 returns rho0 itself and a
     repeated time returns the same state again. A step that would pass the
     next sample time is shortened to end on it; the step size (the larger of
@@ -219,6 +220,12 @@ def evolve_trajectory(
     Each integrated trajectory logs its route, right-hand-side evaluations
     and accepted and rejected steps at DEBUG on the "bmc" logger.
     """
+    try:
+        times = list(times)
+    except TypeError:
+        raise InvalidTimeError(
+            f"sample times must be a sequence of times, got {times!r}"
+        ) from None
     times = [_check_time(t, "sample times") for t in times]
     if not times:
         raise InvalidTimeError("no sample times given")

@@ -26,7 +26,7 @@ from bmc import (
     optimal_nbar,
     thermal_state,
 )
-from bmc import cli, fock
+from bmc import analytic, cli, fock
 from bmc.capacity import theta_curve
 
 REF = ChannelParams(gamma=0.1, beta_rate=0.01, n_bar=5.0)
@@ -152,3 +152,10 @@ def test_number_state_rejects_an_index_that_is_not_a_level(n):
 def test_number_state_puts_one_at_its_index(n):
     amplitudes = number_state(n, 5).amplitudes
     assert amplitudes.tolist() == [1.0 if k == n else 0.0 for k in range(5)]
+
+
+@pytest.mark.parametrize("dim", ["30", 30.0, np.float64(30.0), True, None, 1], ids=repr)
+def test_to_density_matrix_rejects_a_dimension_that_is_not_a_level_count(dim):
+    # the string once reached `dim < suggested_dim` and raised a bare TypeError
+    with pytest.raises(InvalidDimensionError, match="truncation dimension"):
+        analytic.to_density_matrix(GaussianChannelState(1, 0.1), dim)

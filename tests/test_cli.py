@@ -20,9 +20,11 @@ from bmc import (
     InvalidTimeError,
     NotAStateError,
     capacity_point,
+    evolve_coherent_analytic,
     optimal_nbar,
+    von_neumann_entropy,
 )
-from bmc import cli, lindblad
+from bmc import analytic, cli, lindblad
 from bmc.capacity import theta_at_nbar
 from bmc.cli import (
     EXIT_NO_OPTIMUM,
@@ -322,6 +324,36 @@ class TestValidate:
         assert statuses == ["ok" if ok else "FAIL" for ok in report.point_passed]
         assert "FAIL" in statuses
         assert lines[-1] == "validation FAILED"
+
+
+class TestValidateEigensolves:
+    # eigvalsh calls of `bmc validate` on its default grid: a trace distance
+    # for each of the 20 points, and the spectra of the 3 displaced coherent
+    # inputs and their 15 integrated states (the vacuum's stay diagonal).
+    # The closed-form states carry their spectra, so a faster run must come
+    # from less work here, not from a faster solver.
+    EIGENSOLVES = 38
+
+    @staticmethod
+    def _counted(monkeypatch):
+        solve = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: calls.append(1) or solve(mat))
+        return calls
+
+    def test_default_grid_count_is_unchanged(self, monkeypatch, capsys):
+        calls = self._counted(monkeypatch)
+        assert cli.main(["validate"]) == EXIT_OK
+        assert "validation PASSED" in capsys.readouterr().out
+        assert len(calls) == self.EIGENSOLVES
+
+    @pytest.mark.parametrize("eta", cli.DEFAULT_ETAS)
+    @pytest.mark.parametrize("t", cli.DEFAULT_TIMES)
+    def test_closed_form_entropy_makes_none(self, monkeypatch, eta, t):
+        calls = self._counted(monkeypatch)
+        state = evolve_coherent_analytic(eta, REF, t)
+        von_neumann_entropy(analytic.to_density_matrix(state, cli.DEFAULT_DIM))
+        assert calls == []
 
 
 class TestSharedParser:

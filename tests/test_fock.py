@@ -9,6 +9,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bmc
 from bmc import (
@@ -502,21 +504,44 @@ class TestSpectrum:
         assert np.array_equal(DensityMatrix(mat).spectrum, expected)
 
     @pytest.mark.parametrize("dim", [20, 175, 400])
-    def test_phased_real_state_solves_its_real_part_once(self, monkeypatch, dim):
-        solve = np.linalg.eigvalsh
-        arguments = []
-        monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda mat: arguments.append(mat) or solve(mat)
-        )
+    def test_displaced_thermal_state_makes_no_eigensolve(self, monkeypatch, dim):
+        def no_solver(_):
+            raise AssertionError("a displaced thermal state reached the solver")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", no_solver)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                alpha = 0.3 * math.sqrt(dim) * np.exp(2.5j)
+                rho = fock.displaced_thermal_state(alpha, 0.4, dim)
+            rho.validate()
+            von_neumann_entropy(rho)
+        assert np.max(np.abs(rho.spectrum - np.linalg.eigvalsh(rho.entries))) <= 1e-13
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        r=st.floats(1e-3, 7.0),
+        phi=st.floats(-math.pi, math.pi),
+        # small occupations drop every level past a few dozen
+        n_th=st.one_of(st.floats(0.0, 0.05), st.floats(0.0, 2.0)),
+        dim=st.integers(2, 400),
+    )
+    @example(r=7.0, phi=0.3, n_th=0.0, dim=400)
+    @example(r=2.0, phi=-2.0, n_th=0.3, dim=300)
+    @example(r=0.5, phi=1.0, n_th=2.0, dim=2)
+    def test_constructed_spectrum_is_the_eigenvalues_of_the_core(self, r, phi, n_th, dim):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            alpha = 0.3 * math.sqrt(dim) * np.exp(2.5j)
-            rho = fock.displaced_thermal_state(alpha, 0.4, dim)
-        rho.validate()
-        von_neumann_entropy(rho)
-        assert len(arguments) == 1
-        assert arguments[0].dtype == np.float64
-        assert np.max(np.abs(rho.spectrum - solve(rho.entries))) <= 1e-13
+            rho = fock.displaced_thermal_state(r * np.exp(1j * phi), n_th, dim)
+        spectrum = rho.spectrum
+        assert spectrum.shape == (dim,)
+        assert not spectrum.flags.writeable
+        assert np.all(np.diff(spectrum) >= 0.0)
+        evals = np.linalg.eigvalsh(rho._core)
+        assert np.max(np.abs(spectrum - evals)) <= 1e-13
+        kept = evals[evals > 1e-14]
+        entropy = float(-np.sum(kept * np.log2(kept)))
+        assert von_neumann_entropy(rho) == pytest.approx(entropy, abs=1e-12)
 
     def test_phased_real_parts_agree_and_stay_read_only(self):
         rng = np.random.default_rng(11)

@@ -328,6 +328,12 @@ class TestTrajectory:
         with pytest.raises(InvalidTimeError):
             evolve_trajectory(rho0, REF, [1.0, 0.5])
 
+    @pytest.mark.parametrize("times", [1.0, np.float64(1.0), np.array(1.0), None], ids=repr)
+    def test_rejects_a_single_time(self, times):
+        # a float used to raise "'float' object is not iterable"
+        with pytest.raises(InvalidTimeError, match="sequence of times"):
+            evolve_trajectory(projector(number_state(0, 10)), REF, times)
+
     @pytest.mark.parametrize("t", ["1", True, 1 + 0j])
     def test_rejects_a_time_that_is_not_a_real_number(self, t):
         # float() used to read "1" as 1.0 and True as 1.0
