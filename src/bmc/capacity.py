@@ -94,6 +94,12 @@ def _chi(bt: float, delta: float) -> float:
     return g_entropy(bt + delta) - g_entropy(bt)
 
 
+def _figures(terms: tuple[float, float, float], n_bar: float) -> tuple[float, float]:
+    # chi and F_bar at ensemble mean n_bar from the channel terms (bt, decay, damping)
+    bt, decay, damping = terms
+    return _chi(bt, n_bar * decay), 1.0 / (1.0 + bt + n_bar * damping)
+
+
 def channel_capacity(params: ChannelParams, t: float) -> float:
     """Capacity in bits at time t, as the subtracted-entropy form.
 
@@ -103,8 +109,7 @@ def channel_capacity(params: ChannelParams, t: float) -> float:
     delta < beta(t); there chi is formed as delta g'(b) plus the tangent gap,
     both without cancellation.
     """
-    bt, decay, _ = _channel_terms(params, t)
-    return _chi(bt, params.n_bar * decay)
+    return _figures(_channel_terms(params, t), params.n_bar)[0]
 
 
 def fidelity_analytic(eta: complex, params: ChannelParams, t: float) -> float:
@@ -119,8 +124,7 @@ def average_fidelity(params: ChannelParams, t: float) -> float:
 
     Equals 1 / (1 + beta(t) + n_bar (e^{-gamma t / 2} - 1)^2).
     """
-    bt, _, damping = _channel_terms(params, t)
-    return 1.0 / (1.0 + bt + params.n_bar * damping)
+    return _figures(_channel_terms(params, t), params.n_bar)[1]
 
 
 def theta_at_nbar(params: ChannelParams, t: float, n_bar: float) -> float:
@@ -134,12 +138,8 @@ def theta_curve(params: ChannelParams, t: float, n_bars) -> list[float]:
     The channel terms are formed once for the whole curve; each value is
     average_fidelity * channel_capacity at that ensemble mean.
     """
-    bt, decay, damping = _channel_terms(params, t)
-    values = []
-    for n_bar in n_bars:
-        n_bar = _check_real(n_bar, "n_bar")
-        values.append((1.0 / (1.0 + bt + n_bar * damping)) * _chi(bt, n_bar * decay))
-    return values
+    terms = _channel_terms(params, t)
+    return [math.prod(_figures(terms, _check_real(n, "n_bar"))) for n in n_bars]
 
 
 @dataclass(frozen=True)
@@ -165,9 +165,7 @@ class CapacityPoint:
 def capacity_point(params: ChannelParams, t: float) -> CapacityPoint:
     """Capacity, average fidelity and their product at time t, from one set of channel terms."""
     t = _check_time(t)
-    bt, decay, damping = _channel_terms(params, t)
-    chi = _chi(bt, params.n_bar * decay)
-    fbar = 1.0 / (1.0 + bt + params.n_bar * damping)
+    chi, fbar = _figures(_channel_terms(params, t), params.n_bar)
     return CapacityPoint(t=t, chi=chi, avg_fidelity=fbar, theta=chi * fbar)
 
 
@@ -284,10 +282,11 @@ def optimal_nbar(
     dTheta/dn_bar = F_bar^2 s with s strictly decreasing (`_theta_slope`).
     So there is no interior maximum exactly when s >= 0 at search_max
     (flagged, not raised), and otherwise one bracketed root of s on
-    (0+, search_max] locates it. The paper's printed-criterion residual and a
-    two-sided second-order check are evaluated at the result; where the
-    residual outgrows a double (an optimum at gamma t near 700 or beyond) it
-    is reported as NaN and the optimum is still returned.
+    (0+, search_max] locates it. The paper's printed-criterion residual and
+    the second-order check, the sign of ds/dlog n_bar (d^2 Theta/dn_bar^2 =
+    F_bar^2 (ds/dlog n_bar) / n_bar at the root), are evaluated at the result;
+    where the residual outgrows a double (an optimum at gamma t near 700 or
+    beyond) it is reported as NaN and the optimum is still returned.
     """
     t = _check_time(t, positive=True)
     search_max = _check_real(search_max, "search_max", positive=True)
@@ -312,11 +311,7 @@ def optimal_nbar(
     log_lo = math.log(math.ulp(0.0) / decay)
     n_opt = min(math.exp(_slope_root(log_lo, log_max, slope_args)), search_max)
     theta_opt = theta_at_nbar(params, t, n_opt)
-    delta = 1e-3 * n_opt
-    second_order_ok = (
-        theta_at_nbar(params, t, n_opt + delta) <= theta_opt
-        and theta_at_nbar(params, t, n_opt - delta) <= theta_opt
-    )
+    second_order_ok = _theta_slope(math.log(n_opt), *slope_args)[1] < 0.0
     try:
         residual = criterion_residual(n_opt, params, t)
     except InvalidParameterError:  # the printed criterion is beyond a double here

@@ -217,11 +217,7 @@ def run_validation(
     inputs = []
     for eta in etas:
         rho0, loss = fock._coherent_projector(eta, dim)
-        if loss > fock.COHERENT_LOSS_TOL:
-            raise TruncationError(
-                f"input |{eta}> loses weight {loss:.3e} at dim={dim}; "
-                f"suggest dim >= {fock._displaced_thermal_dim(eta, 0.0)}"
-            )
+        fock._check_truncation(f"input |{eta}>", loss, dim, eta, 0.0, error=TruncationError)
         inputs.append(rho0)
 
     ordered_times = sorted(set(times))

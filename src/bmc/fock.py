@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -266,6 +267,30 @@ def _lost_weight(mass: np.ndarray) -> float:
     return max(0.0, float(1.0 - mass[0] - np.sum(mass[1:])))
 
 
+def _check_truncation(
+    what: str, loss: float, dim: int, alpha: complex, n_th: float, error: type | None = None
+) -> None:
+    """The one truncation report in bmc: raise `error`, or else warn with a
+    TruncationWarning, when `what` loses weight `loss` > COHERENT_LOSS_TOL at
+    `dim` levels, suggesting the dimension `_displaced_thermal_dim(alpha, n_th)`
+    of the state being built.
+    """
+    if not loss > COHERENT_LOSS_TOL:
+        return
+    message = (
+        f"{what} loses weight {loss:.3e} at dim={dim}; "
+        f"suggest dim >= {_displaced_thermal_dim(alpha, n_th)}"
+    )
+    if error is not None:
+        raise error(message)
+    # The warning points at the first caller outside bmc, however deep the
+    # call (the `skip_file_prefixes` of `warnings.warn` needs Python 3.12).
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_globals.get("__name__", "").startswith("bmc."):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, TruncationWarning, stacklevel=level)
+
+
 def _coherent_amplitudes(eta: complex, dim: int) -> tuple[np.ndarray, float]:
     # c_n = sqrt(p_n) e^{i n phi} for eta = |eta| e^{i phi}, and the weight the
     # same Poisson mass leaves beyond the cutoff.
@@ -293,18 +318,12 @@ def coherent_state(eta: complex, dim: int) -> StateVector:
     """Coherent state |eta> with amplitudes e^{-|eta|^2/2} eta^n / sqrt(n!).
 
     The amplitudes are not renormalized after truncation; the lost weight is
-    reported on the returned state and a TruncationWarning is emitted when it
-    exceeds COHERENT_LOSS_TOL.
+    reported on the returned state, and a TruncationWarning suggesting a
+    dimension is emitted when it exceeds COHERENT_LOSS_TOL.
     """
     dim = _check_dim(dim)
     amps, loss = _coherent_amplitudes(eta, dim)
-    if loss > COHERENT_LOSS_TOL:
-        warnings.warn(
-            f"coherent state |{eta}> loses weight {loss:.3e} at dim={dim}; "
-            f"suggest dim >= {_displaced_thermal_dim(eta, 0.0)}",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    _check_truncation(f"coherent state |{eta}>", loss, dim, eta, 0.0)
     return StateVector(amps, truncation_loss=loss)
 
 
@@ -368,16 +387,6 @@ def _displacement_phases(alpha: complex, dim: int) -> np.ndarray:
     return powers / np.abs(powers)
 
 
-def _warn_if_truncated(alpha: complex, dim: int) -> None:
-    loss = coherent_truncation_loss(alpha, dim)
-    if loss > COHERENT_LOSS_TOL:
-        warnings.warn(
-            f"displacement by {alpha} is truncated (loss {loss:.3e}) at dim={dim}",
-            TruncationWarning,
-            stacklevel=3,
-        )
-
-
 def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     """Displacement matrix exp(alpha a+ - alpha* a) on the truncated space.
 
@@ -391,7 +400,8 @@ def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     alpha = _check_amplitude(alpha, "displacement")
     if alpha == 0:
         return np.eye(dim, dtype=complex)
-    _warn_if_truncated(alpha, dim)
+    loss = coherent_truncation_loss(alpha, dim)
+    _check_truncation(f"displacement by {alpha}", loss, dim, alpha, 0.0)
     phases = _displacement_phases(alpha, dim)
     return _real_displacement(abs(alpha), dim) * np.outer(phases, phases.conj())
 
@@ -409,7 +419,8 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMat
 
     The thermal weights w_n = n_th^n / (1 + n_th)^{n+1} are formed once; a
     TruncationWarning is emitted when their dropped tail, or the weight the
-    displacement moves past the cutoff, exceeds COHERENT_LOSS_TOL. At
+    displacement moves past the cutoff, exceeds COHERENT_LOSS_TOL, and
+    suggests the state's `_displaced_thermal_dim(alpha, n_th)`. At
     alpha = 0 the state is diagonal. Otherwise diag(w) commutes with Q', so
     the state is Q' R Q'+ with the real symmetric R = O(r) diag(w) O(r)^T,
     built in real arithmetic and divided by its trace. O(r) is orthogonal,
@@ -423,19 +434,13 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMat
     alpha = _check_amplitude(alpha, "displacement")
     n_th = _check_real(n_th, "thermal occupation")
     ratio = n_th / (1.0 + n_th)
-    tail = ratio**dim
-    if tail > COHERENT_LOSS_TOL:
-        warnings.warn(
-            f"thermal state with {n_th:.4g} photons loses weight {tail:.3e} at "
-            f"dim={dim}; suggest dim >= {thermal_tail_dim(n_th)}",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    _check_truncation(f"thermal state with {n_th:.4g} photons", ratio**dim, dim, alpha, n_th)
     weights = (1.0 / (1.0 + n_th)) * ratio ** np.arange(dim)
     weights /= weights.sum()
     if alpha == 0:
         return DensityMatrix(np.diag(weights)).validate()
-    _warn_if_truncated(alpha, dim)
+    loss = coherent_truncation_loss(alpha, dim)
+    _check_truncation(f"displacement by {alpha}", loss, dim, alpha, n_th)
     # Levels below eps^2 of the largest weight move no entry or eigenvalue
     # beyond rounding; leaving them out also keeps subnormal products, and
     # their slow arithmetic, out of the matrix product.
@@ -455,8 +460,8 @@ def thermal_state(n_th: float, dim: int) -> DensityMatrix:
     """Thermal state with mean occupation n_th, renormalized after truncation.
 
     Diagonal weights n_th^n / (1 + n_th)^{n+1}, the undisplaced case of
-    `displaced_thermal_state`; a TruncationWarning suggests `thermal_tail_dim`
-    when the dropped tail exceeds COHERENT_LOSS_TOL.
+    `displaced_thermal_state`, whose TruncationWarning for the dropped tail
+    suggests `_displaced_thermal_dim(0, n_th)`.
     """
     return displaced_thermal_state(0, n_th, dim)
 
@@ -483,12 +488,7 @@ def fidelity_with_coherent(rho: DensityMatrix, eta: complex) -> float:
     larger value means rho is not Hermitian enough to be a state.
     """
     amps, loss = _coherent_amplitudes(eta, rho.dim)
-    if loss > COHERENT_LOSS_TOL:
-        warnings.warn(
-            f"fidelity with |{eta}> is truncated (loss {loss:.3e}) at dim={rho.dim}",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    _check_truncation(f"fidelity with |{eta}>", loss, rho.dim, eta, 0.0)
     value = complex(np.vdot(amps, rho.entries @ amps))
     if abs(value.imag) > 1e-10:
         raise NotAStateError(

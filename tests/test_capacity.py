@@ -442,6 +442,18 @@ class TestOptimalSignal:
         )
 
 
+    def test_second_order_confirmed_where_theta_is_flat_below_rounding(self):
+        # Theta(n_bar_opt (1 +- 1e-3)) lies 4.8e-17 (relative) below the
+        # optimum here, under its double rounding, so only the closed-form
+        # curvature of the slope can confirm the maximum
+        params = ChannelParams(gamma=5.659692641087864, beta_rate=0.2962347357754979)
+        t = 8.600572606781432
+        result = optimal_nbar(params, t, 2.2416793739682336e127)
+        assert result.interior_optimum and result.second_order_ok
+        n = result.n_bar_opt
+        assert mp_dtheta(params, t, n * (1.0 - 1e-11)) > 0
+        assert mp_dtheta(params, t, n * (1.0 + 1e-11)) < 0
+
     def test_optimum_kept_where_printed_residual_overflows(self):
         # the printed criterion grows like e^{gamma t}; the optimum does not
         params = ChannelParams(gamma=0.001, beta_rate=25.0)

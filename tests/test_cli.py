@@ -389,6 +389,15 @@ class TestOptimal:
         assert "criterion residual" in out
         assert "maximum confirmed" in out
 
+    def test_flat_optimum_is_confirmed(self, capsys):
+        # Theta is flat below a double's rounding over n_bar_opt (1 +- 1e-3)
+        code = cli.main([
+            "optimal", "--t", "8.600572606781432", "--gamma", "5.659692641087864",
+            "--beta", "0.2962347357754979", "--search-max", "2.2416793739682336e+127",
+        ])
+        assert code == EXIT_OK
+        assert "second-order check = maximum confirmed" in capsys.readouterr().out
+
     def test_no_interior_optimum_exit_code(self, capsys):
         code = cli.main(["optimal", "--t", "1e-6"])
         assert code == EXIT_NO_OPTIMUM

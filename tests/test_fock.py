@@ -35,7 +35,7 @@ from bmc import (
     trace_distance,
     von_neumann_entropy,
 )
-from bmc import fock
+from bmc import analytic, fock
 from oracles import expm_displacement, ladder_operators, thermal_entropy_by_summation
 
 
@@ -463,6 +463,17 @@ class TestDensityMatrixType:
         with pytest.raises(NotAStateError):
             DensityMatrix(np.eye(3) / 2.0).validate()
 
+    def test_validate_flags_a_negative_eigenvalue(self):
+        with pytest.raises(NotAStateError, match="not positive semidefinite"):
+            DensityMatrix(np.diag([1.001, -0.001])).validate()
+
+    def test_validate_flags_a_negative_eigenvalue_of_a_framed_core(self):
+        # the core is Hermitian with unit trace, and its determinant -2.5e-7
+        # is its negative eigenvalue to first order
+        rho = DensityMatrix._from_phased_real(0.7j, [[0.5005, 0.5], [0.5, 0.4995]])
+        with pytest.raises(NotAStateError, match="not positive semidefinite"):
+            rho.validate()
+
     def test_constructor_outputs_pass_validation(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
@@ -588,6 +599,76 @@ class TestFieldAmplitude:
 
     def test_thermal_has_no_field(self):
         assert field_amplitude(thermal_state(0.7, 40)) == pytest.approx(0.0, abs=1e-15)
+
+
+class TestTruncationReport:
+    @pytest.mark.parametrize(
+        "build, messages",
+        [
+            (
+                lambda: displacement_operator(3.0, 10),
+                ["displacement by (3+0j) loses weight 4.126e-01 at dim=10; suggest dim >= 45"],
+            ),
+            (
+                lambda: fidelity_with_coherent(thermal_state(0.1, 20), 4.0),
+                ["fidelity with |4.0> loses weight 1.878e-01 at dim=20; suggest dim >= 59"],
+            ),
+            (
+                lambda: thermal_state(0.5, 10),
+                ["thermal state with 0.5 photons loses weight 1.694e-05 at dim=10; "
+                 "suggest dim >= 22"],
+            ),
+            # both reports suggest the 56 levels `to_density_matrix` asks for
+            (
+                lambda: fock.displaced_thermal_state(3.0, 0.5, 10),
+                [
+                    "thermal state with 0.5 photons loses weight 1.694e-05 at dim=10; "
+                    "suggest dim >= 56",
+                    "displacement by (3+0j) loses weight 4.126e-01 at dim=10; suggest dim >= 56",
+                ],
+            ),
+        ],
+        ids=["displacement_operator", "fidelity_with_coherent", "thermal_state",
+             "displaced_thermal_state"],
+    )
+    def test_one_message_shape(self, build, messages):
+        with pytest.warns(TruncationWarning) as record:
+            build()
+        assert [str(w.message) for w in record] == messages
+
+    def test_reports_a_loss_above_the_tolerance_only(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            fock._check_truncation("state", fock.COHERENT_LOSS_TOL, 10, 0.0, 0.0)
+        above = math.nextafter(fock.COHERENT_LOSS_TOL, 1.0)
+        with pytest.warns(TruncationWarning, match="state loses weight"):
+            fock._check_truncation("state", above, 10, 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"^state loses weight 1\.000e-06 at dim=10; suggest"):
+            fock._check_truncation("state", above, 10, 0.0, 0.0, error=ValueError)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: coherent_state(3.0, 10),
+            lambda: displacement_operator(3.0, 10),
+            lambda: fock.displaced_thermal_state(3.0, 0.5, 10),
+            lambda: thermal_state(5.0, 10),
+            lambda: fidelity_with_coherent(thermal_state(0.1, 20), 4.0),
+            lambda: analytic.to_density_matrix(analytic.GaussianChannelState(3.0, 0.5), 10),
+        ],
+        ids=[
+            "coherent_state",
+            "displacement_operator",
+            "displaced_thermal_state",
+            "thermal_state",
+            "fidelity_with_coherent",
+            "to_density_matrix",
+        ],
+    )
+    def test_warnings_point_at_the_caller(self, build):
+        with pytest.warns(TruncationWarning) as record:
+            build()
+        assert [w.filename for w in record] == [__file__] * len(record)
 
 
 class TestTruncationHelpers:

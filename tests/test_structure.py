@@ -11,6 +11,11 @@ Every public number and amplitude is read through `fock._check_real`,
 function applies `float()` or `complex()` to one of its own parameters, the
 hand-rolled guard that let a str or a bool through.
 
+Every weight lost to truncation is reported by `fock._check_truncation`, the
+one place that compares a loss against `COHERENT_LOSS_TOL`. The report test
+fails when another module names the tolerance, or `fock` compares against it
+a second time: a hand-rolled report again.
+
 The channel is the thermal attenuator: `ChannelParams` has no field beyond
 the decay rate, the thermal noise rate and the ensemble's mean photon number.
 """
@@ -98,6 +103,36 @@ def test_the_guard_sees_the_coercions():
         "def field(rho):\n    return complex(sum(rho))\n"
     )
     assert _coerced_parameters(ast.parse(snippet)) == {"g_entropy:x", "theta_curve:n_bars"}
+
+
+LOSS_TOL = "COHERENT_LOSS_TOL"
+
+
+def _loss_tol_comparisons(tree: ast.AST) -> int:
+    return sum(
+        isinstance(node, ast.Compare) and LOSS_TOL in _names(node) for node in ast.walk(tree)
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_truncation_report(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    if path.name == "fock.py":
+        assert _loss_tol_comparisons(tree) == 1
+    else:
+        assert LOSS_TOL not in _names(tree)
+
+
+def test_the_guard_sees_the_loss_tolerance():
+    # the checks `run_validation` and `_warn_if_truncated` once held
+    snippet = (
+        "if loss > fock.COHERENT_LOSS_TOL:\n    raise TruncationError(loss)\n"
+        "if not COHERENT_LOSS_TOL >= tail:\n    warn(tail)\n"
+        "tol = COHERENT_LOSS_TOL\n"
+    )
+    tree = ast.parse(snippet)
+    assert _loss_tol_comparisons(tree) == 2
+    assert LOSS_TOL in _names(ast.parse("from .fock import COHERENT_LOSS_TOL"))
 
 
 def test_channel_params_has_the_thermal_attenuator_fields_only():
