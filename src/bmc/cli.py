@@ -217,7 +217,9 @@ def run_validation(
     inputs = []
     for eta in etas:
         rho0, loss = fock._coherent_projector(eta, dim)
-        fock._check_truncation(f"input |{eta}>", loss, dim, eta, 0.0, error=TruncationError)
+        fock._check_truncation(
+            "input |{}>", loss, dim, eta, 0.0, error=TruncationError, args=(eta,)
+        )
         inputs.append(rho0)
 
     ordered_times = sorted(set(times))

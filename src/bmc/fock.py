@@ -268,17 +268,25 @@ def _lost_weight(mass: np.ndarray) -> float:
 
 
 def _check_truncation(
-    what: str, loss: float, dim: int, alpha: complex, n_th: float, error: type | None = None
+    what: str,
+    loss: float,
+    dim: int,
+    alpha: complex,
+    n_th: float,
+    error: type | None = None,
+    *,
+    args: tuple = (),
 ) -> None:
     """The one truncation report in bmc: raise `error`, or else warn with a
-    TruncationWarning, when `what` loses weight `loss` > COHERENT_LOSS_TOL at
-    `dim` levels, suggesting the dimension `_displaced_thermal_dim(alpha, n_th)`
-    of the state being built.
+    TruncationWarning, when `what.format(*args)` loses weight
+    `loss` > COHERENT_LOSS_TOL at `dim` levels, suggesting the dimension
+    `_displaced_thermal_dim(alpha, n_th)` of the state being built. The label
+    is formatted only when the report fires.
     """
     if not loss > COHERENT_LOSS_TOL:
         return
     message = (
-        f"{what} loses weight {loss:.3e} at dim={dim}; "
+        f"{what.format(*args)} loses weight {loss:.3e} at dim={dim}; "
         f"suggest dim >= {_displaced_thermal_dim(alpha, n_th)}"
     )
     if error is not None:
@@ -300,12 +308,19 @@ def _coherent_amplitudes(eta: complex, dim: int) -> tuple[np.ndarray, float]:
 
 
 def _coherent_projector(eta: complex, dim: int) -> tuple[DensityMatrix, float]:
-    # |eta><eta| / <eta|eta> as (phases, outer(sqrt p, sqrt p) / sum p), and the
-    # weight the same Poisson mass p leaves beyond the cutoff; not validated.
+    # |eta><eta| / <eta|eta> as (phases, outer(r, r) / sum p) with r = sqrt p, and
+    # the weight the same Poisson mass p leaves beyond the cutoff; not validated.
+    # The core has rank one, so its spectrum is set here, with no eigensolve:
+    # dim - 1 zeros and r.r / sum p.
     eta, dim = _check_amplitude(eta), _check_dim(dim)
     mass = _poisson_mass(abs(eta) ** 2, dim)
     root = np.sqrt(mass)
-    rho = DensityMatrix._from_phased_real(eta, np.outer(root, root) / np.sum(mass))
+    total = np.sum(mass)
+    rho = DensityMatrix._from_phased_real(eta, np.outer(root, root) / total)
+    spectrum = np.zeros(dim)
+    spectrum[-1] = (root @ root) / total
+    spectrum.setflags(write=False)
+    object.__setattr__(rho, "spectrum", spectrum)  # the cached property's value
     return rho, _lost_weight(mass)
 
 
@@ -323,7 +338,7 @@ def coherent_state(eta: complex, dim: int) -> StateVector:
     """
     dim = _check_dim(dim)
     amps, loss = _coherent_amplitudes(eta, dim)
-    _check_truncation(f"coherent state |{eta}>", loss, dim, eta, 0.0)
+    _check_truncation("coherent state |{}>", loss, dim, eta, 0.0, args=(eta,))
     return StateVector(amps, truncation_loss=loss)
 
 
@@ -401,7 +416,7 @@ def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     if alpha == 0:
         return np.eye(dim, dtype=complex)
     loss = coherent_truncation_loss(alpha, dim)
-    _check_truncation(f"displacement by {alpha}", loss, dim, alpha, 0.0)
+    _check_truncation("displacement by {}", loss, dim, alpha, 0.0, args=(alpha,))
     phases = _displacement_phases(alpha, dim)
     return _real_displacement(abs(alpha), dim) * np.outer(phases, phases.conj())
 
@@ -434,13 +449,15 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMat
     alpha = _check_amplitude(alpha, "displacement")
     n_th = _check_real(n_th, "thermal occupation")
     ratio = n_th / (1.0 + n_th)
-    _check_truncation(f"thermal state with {n_th:.4g} photons", ratio**dim, dim, alpha, n_th)
+    _check_truncation(
+        "thermal state with {:.4g} photons", ratio**dim, dim, alpha, n_th, args=(n_th,)
+    )
     weights = (1.0 / (1.0 + n_th)) * ratio ** np.arange(dim)
     weights /= weights.sum()
     if alpha == 0:
         return DensityMatrix(np.diag(weights)).validate()
     loss = coherent_truncation_loss(alpha, dim)
-    _check_truncation(f"displacement by {alpha}", loss, dim, alpha, n_th)
+    _check_truncation("displacement by {}", loss, dim, alpha, n_th, args=(alpha,))
     # Levels below eps^2 of the largest weight move no entry or eigenvalue
     # beyond rounding; leaving them out also keeps subnormal products, and
     # their slow arithmetic, out of the matrix product.
@@ -488,7 +505,7 @@ def fidelity_with_coherent(rho: DensityMatrix, eta: complex) -> float:
     larger value means rho is not Hermitian enough to be a state.
     """
     amps, loss = _coherent_amplitudes(eta, rho.dim)
-    _check_truncation(f"fidelity with |{eta}>", loss, rho.dim, eta, 0.0)
+    _check_truncation("fidelity with |{}>", loss, rho.dim, eta, 0.0, args=(eta,))
     value = complex(np.vdot(amps, rho.entries @ amps))
     if abs(value.imag) > 1e-10:
         raise NotAStateError(
@@ -535,7 +552,12 @@ def suggested_dim(mean_photons: float, variance: float) -> int:
     """Truncation heuristic: dim >= mean + 8 sqrt(variance + 1) + 10."""
     mean_photons = _check_real(mean_photons, "mean photon number")
     variance = _check_real(variance, "photon-number variance")
-    return max(2, math.ceil(mean_photons + 8.0 * math.sqrt(variance + 1.0) + 10.0))
+    return _moment_dim(mean_photons, math.sqrt(variance + 1.0))
+
+
+def _moment_dim(mean: float, spread: float) -> int:
+    # `suggested_dim` from the mean and spread = sqrt(variance + 1)
+    return max(2, math.ceil(mean + 8.0 * spread + 10.0))
 
 
 def thermal_tail_dim(n_th: float) -> int:
@@ -559,9 +581,23 @@ def _displaced_thermal_dim(alpha: complex, n_th: float) -> int:
     and variance |alpha|^2 (2 n_th + 1) + n_th (n_th + 1), and of
     `thermal_tail_dim(n_th)`. Coherent states have n_th = 0, undisplaced
     thermal states alpha = 0.
+
+    Past about 1.3e154 photons the variance overflows, while the root
+    sqrt(variance + 1) is still a double: it is then formed as the norm of
+    (n_th + 1/2, sqrt(3/4), |alpha| sqrt(2 n_th + 1)), whose squares sum to
+    variance + 1. Where the variance is finite the root is formed from it,
+    so those dimensions are unchanged.
     """
     alpha_sq = abs(alpha) ** 2
-    return max(
-        suggested_dim(alpha_sq + n_th, alpha_sq * (2.0 * n_th + 1.0) + n_th * (n_th + 1.0)),
-        thermal_tail_dim(n_th),
-    )
+    mean = alpha_sq + n_th
+    variance = alpha_sq * (2.0 * n_th + 1.0) + n_th * (n_th + 1.0)
+    if variance < math.inf:
+        spread = math.sqrt(variance + 1.0)
+    else:
+        spread = math.hypot(n_th + 0.5, math.sqrt(0.75), abs(alpha) * math.sqrt(2.0 * n_th + 1.0))
+    if not mean + 8.0 * spread < math.inf:
+        raise InvalidParameterError(
+            f"a displaced thermal state with |alpha|^2 = {alpha_sq} and {n_th} photons "
+            "needs a dimension beyond float range"
+        )
+    return max(_moment_dim(mean, spread), thermal_tail_dim(n_th))

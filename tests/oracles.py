@@ -158,6 +158,39 @@ def dense_lindblad_rhs(rho, params):
     )
 
 
+def flat_shift_generator(dim, params):
+    """Return f(rho) = d(rho)/dt on the full dim x dim matrix, as shifted
+    multiply-adds on the flattened rho.
+
+    rho_{m+1,n+1} sits dim + 1 entries after rho_mn, and the loss and gain
+    weights have a zero last row and column, so a shift that would wrap into
+    the next row adds nothing. Reference for the band generator in
+    `bmc.lindblad`, which must give the same bits on the upper bands.
+    """
+    gamma = params.gamma
+    n_res = params.reservoir_photons
+    levels = np.arange(dim, dtype=float)
+    anti_number = levels + 1.0
+    anti_number[-1] = 0.0
+    diag = (-0.5 * gamma) * ((n_res + 1.0) * levels + n_res * anti_number)
+    drift_sum = (diag[:, None] + diag[None, :]).ravel()
+    root = np.append(np.sqrt(levels[1:]), 0.0)  # root[k] = sqrt(k + 1), then 0
+    weights = np.outer(root, root)  # sqrt((k+1)(l+1)), zero last row and column
+    shift = dim + 1
+    loss = ((gamma * (n_res + 1.0)) * weights).ravel()[:-shift]
+    gain = ((gamma * n_res) * weights).ravel()[:-shift]
+
+    def f(rho: np.ndarray) -> np.ndarray:
+        flat = rho.reshape(-1)
+        out = drift_sum * flat
+        out[:-shift] += loss * flat[shift:]
+        if n_res != 0.0:
+            out[shift:] += gain * flat[:-shift]
+        return out.reshape(dim, dim)
+
+    return f
+
+
 # Classical Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl.
 # Math. 6, 19 (1980)) in exact fractions. Row i of DP_A weighs the stages
 # before stage i + 1; DP_B weighs the first six stages into the fifth-order

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -304,6 +305,17 @@ class TestThermalState:
             rho = thermal_state(5.0, 10)
         assert mean_photon_number(rho) == pytest.approx(3.07, abs=0.01)
 
+    def test_a_huge_occupation_suggests_a_finite_dimension(self):
+        # the photon-number variance n (n + 1) overflows past about 1.3e154
+        # photons and used to raise about a variance no caller gave; the
+        # suggested dimension, about 20.7 n, is still a double
+        with pytest.warns(TruncationWarning) as record:
+            thermal_state(1e200, 10)
+        (warning,) = record
+        needed = int(re.search(r"suggest dim >= (\d+)$", str(warning.message)).group(1))
+        assert needed == thermal_tail_dim(1e200)
+        assert math.isfinite(float(needed))
+
 
 class TestVonNeumannEntropy:
     def test_pure_state_zero(self):
@@ -529,6 +541,20 @@ class TestSpectrum:
             von_neumann_entropy(rho)
         assert np.max(np.abs(rho.spectrum - np.linalg.eigvalsh(rho.entries))) <= 1e-13
 
+    @pytest.mark.parametrize("eta, dim", [(0, 10), (0.5, 20), (1 + 1j, 30), (-2j, 40), (3.0, 60)])
+    def test_coherent_projector_makes_no_eigensolve(self, monkeypatch, eta, dim):
+        def no_solver(_):
+            raise AssertionError("a coherent projector reached the solver")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", no_solver)
+            rho, _ = fock._coherent_projector(eta, dim)
+            rho.validate()
+            von_neumann_entropy(rho)
+        assert not rho.spectrum.flags.writeable
+        assert np.count_nonzero(rho.spectrum[:-1]) == 0
+        assert np.max(np.abs(rho.spectrum - np.linalg.eigvalsh(rho._core))) <= 1e-15
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         r=st.floats(1e-3, 7.0),
@@ -646,6 +672,16 @@ class TestTruncationReport:
         with pytest.raises(ValueError, match=r"^state loses weight 1\.000e-06 at dim=10; suggest"):
             fock._check_truncation("state", above, 10, 0.0, 0.0, error=ValueError)
 
+    def test_the_label_is_formatted_only_when_the_report_fires(self):
+        class Unformattable:
+            def __format__(self, spec):
+                raise AssertionError("a label no report uses was formatted")
+
+        unused = Unformattable()
+        fock._check_truncation("state {}", fock.COHERENT_LOSS_TOL, 10, 0.0, 0.0, args=(unused,))
+        with pytest.warns(TruncationWarning, match=r"^state with 0\.5 photons loses weight"):
+            fock._check_truncation("state with {:.4g} photons", 1.0, 10, 0.0, 0.0, args=(0.5,))
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -685,6 +721,32 @@ class TestTruncationHelpers:
     def test_invalid_arguments(self):
         with pytest.raises(InvalidParameterError):
             suggested_dim(-1.0, 0.0)
+
+    @pytest.mark.parametrize("n_th", [0.0, 0.3, 2.0, 1e3, 1e8, 1e15, 1e40, 1e100, 1e150])
+    @pytest.mark.parametrize("alpha", [0, 0.5, 3.0 - 4.0j, 1e6, 1e20, 1e70j])
+    def test_displaced_thermal_dim_is_unchanged_where_the_variance_is_finite(self, alpha, n_th):
+        alpha_sq = abs(alpha) ** 2
+        variance = alpha_sq * (2.0 * n_th + 1.0) + n_th * (n_th + 1.0)
+        assert math.isfinite(variance)
+        expected = max(suggested_dim(alpha_sq + n_th, variance), thermal_tail_dim(n_th))
+        assert fock._displaced_thermal_dim(alpha, n_th) == expected
+
+    @pytest.mark.parametrize(
+        "alpha, n_th", [(0, 1e155), (0, 1e200), (2.0, 1e250), (1e100, 1e160), (1e150, 1e10)]
+    )
+    def test_displaced_thermal_dim_past_the_variance_overflow(self, alpha, n_th):
+        with mpmath.workdps(60):
+            a_sq, n = mpmath.mpf(abs(alpha)) ** 2, mpmath.mpf(n_th)
+            assert a_sq * (2 * n + 1) + n * (n + 1) > sys.float_info.max
+            spread = mpmath.sqrt(a_sq * (2 * n + 1) + n * (n + 1) + 1)
+            exact = max(a_sq + n + 8 * spread + 10, mpmath.mpf(thermal_tail_dim(n_th)))
+            dim = fock._displaced_thermal_dim(alpha, n_th)
+            assert math.isfinite(float(dim))
+            assert abs(dim - exact) <= 1e-15 * exact
+
+    def test_displaced_thermal_dim_beyond_float_range(self):
+        with pytest.raises(InvalidParameterError, match="beyond float range"):
+            fock._displaced_thermal_dim(1e154, 1e308)
 
 
 def test_import_leaves_scipy_unloaded():
