@@ -13,7 +13,7 @@ import math
 import numbers
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,70 +50,83 @@ _TAIL_WEIGHT = 1e-9
 _PHASE_MATCH_TOL = 4.0 * np.finfo(float).eps
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix:
-    """Density operator on a truncated Fock space.
+    """Density operator on a truncated Fock space, kept as a frame and a core.
 
+    The state is Q C Q+ with Q = diag(q_n) the phases of a displacement by
+    `_alpha` (`_displacement_phases`) and C the read-only core `_core`: the
+    real R of a state built in that frame (`_framed`), or the complex entries
+    of a state given by them, whose frame is the identity (`_alpha` = 0).
     Immutable after construction; `validate` checks the invariant triple
     (Hermiticity, unit trace, positivity) at configurable tolerances.
     """
 
-    entries: np.ndarray
-    # The core C with entries = Q C Q+, read-only: the real R of a state built
-    # in the frame Q of a displacement by _alpha (see `_from_phased_real`);
-    # `entries` itself for any other state, which has no frame (_alpha None).
-    _core: np.ndarray = field(default=None, init=False, repr=False)
-    _alpha: complex | None = field(default=None, init=False, repr=False)
+    _alpha: complex
+    _core: np.ndarray
 
-    def __post_init__(self):
-        mat = np.array(self.entries, dtype=complex)
+    def __init__(self, entries: np.ndarray):
+        mat = np.array(entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise InvalidDimensionError(
                 f"density matrix must be square, got shape {mat.shape}"
             )
+        if not np.isfinite(mat).all():
+            raise NotAStateError("density matrix has a NaN or infinite entry")
         mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "_alpha", 0j)
         object.__setattr__(self, "_core", mat)
 
     @classmethod
-    def _from_phased_real(cls, alpha: complex, real: np.ndarray) -> "DensityMatrix":
-        """The matrix Q R Q+ with R real, in the frame Q = diag(e^{i phi n}) of
-        a displacement by alpha = r e^{i phi} (`_displacement_phases`).
-
-        `entries` is formed here from (Q, R), so the two cannot disagree, and
-        `spectrum`, unless the builder sets it, diagonalizes the read-only R,
-        which has the same eigenvalues because Q is unitary.
+    def _framed(cls, alpha: complex, core: np.ndarray, spectrum=None) -> "DensityMatrix":
+        """The state Q C Q+ around a read-only copy of `core`, which keeps its
+        dtype, in the frame Q = diag(e^{i phi n}) of a displacement by
+        alpha = r e^{i phi}. A builder that knows the spectrum passes it, and
+        it is kept, read-only, as `spectrum`.
         """
-        alpha, real = complex(alpha), np.array(real, dtype=float)
-        phases = _displacement_phases(alpha, real.shape[0])
-        rho = cls(real * np.outer(phases, phases.conj()))
-        real.setflags(write=False)
-        object.__setattr__(rho, "_core", real)
-        object.__setattr__(rho, "_alpha", alpha)
+        rho = cls.__new__(cls)
+        core = np.array(core)
+        core.setflags(write=False)
+        object.__setattr__(rho, "_alpha", complex(alpha))
+        object.__setattr__(rho, "_core", core)
+        if spectrum is not None:
+            spectrum.setflags(write=False)
+            vars(rho)["spectrum"] = spectrum  # where the cached property keeps it
         return rho
 
     def _with_core(self, core: np.ndarray) -> "DensityMatrix":
         """The state around a copy of `core` in this state's frame."""
-        if self._alpha is None:
-            return DensityMatrix(core)
-        return DensityMatrix._from_phased_real(self._alpha, core)
+        return DensityMatrix._framed(self._alpha, core)
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        """The matrix Q C Q+, read-only, formed on first read: a complex core
+        in the identity frame is its own entries, any other is outer(q, q*) C."""
+        core = self._core
+        if not self._alpha and np.iscomplexobj(core):
+            return core
+        phases = _displacement_phases(self._alpha, self.dim)
+        out = np.outer(phases, phases.conj())
+        out *= core
+        out.setflags(write=False)
+        return out
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self._core.shape[0]
 
     def trace(self) -> complex:
-        return complex(np.trace(self.entries))
+        # Q is diagonal and unitary: the diagonal of Q C Q+ is that of C
+        return complex(np.trace(self._core))
 
     @functools.cached_property
     def spectrum(self) -> np.ndarray:
         """Eigenvalues in ascending order, computed once per state; read-only.
 
-        An exactly diagonal matrix (thermal and mixed states) skips the
-        solver, a displaced thermal state carries the spectrum it was built
-        from (`displaced_thermal_state`), and any other state built in a
-        frame diagonalizes its real core. `validate` and
-        `von_neumann_entropy` both read this.
+        A state built with its spectrum (`_framed`) carries it; otherwise an
+        exactly diagonal core (thermal and mixed states) skips the solver, and
+        any other core, which has the state's eigenvalues because Q is
+        unitary, is diagonalized. `validate` and `von_neumann_entropy` read this.
         """
         mat = self._core
         diagonal = np.diagonal(mat)
@@ -170,6 +183,8 @@ class StateVector:
             raise InvalidDimensionError(
                 f"state vector must be one-dimensional, got shape {vec.shape}"
             )
+        if not np.isfinite(vec).all():
+            raise NotAStateError("state vector has a NaN or infinite amplitude")
         vec.setflags(write=False)
         object.__setattr__(self, "amplitudes", vec)
 
@@ -310,18 +325,15 @@ def _coherent_amplitudes(eta: complex, dim: int) -> tuple[np.ndarray, float]:
 def _coherent_projector(eta: complex, dim: int) -> tuple[DensityMatrix, float]:
     # |eta><eta| / <eta|eta> as (phases, outer(r, r) / sum p) with r = sqrt p, and
     # the weight the same Poisson mass p leaves beyond the cutoff; not validated.
-    # The core has rank one, so its spectrum is set here, with no eigensolve:
+    # The core has rank one, so its spectrum is passed in, with no eigensolve:
     # dim - 1 zeros and r.r / sum p.
     eta, dim = _check_amplitude(eta), _check_dim(dim)
     mass = _poisson_mass(abs(eta) ** 2, dim)
     root = np.sqrt(mass)
     total = np.sum(mass)
-    rho = DensityMatrix._from_phased_real(eta, np.outer(root, root) / total)
     spectrum = np.zeros(dim)
     spectrum[-1] = (root @ root) / total
-    spectrum.setflags(write=False)
-    object.__setattr__(rho, "spectrum", spectrum)  # the cached property's value
-    return rho, _lost_weight(mass)
+    return DensityMatrix._framed(eta, np.outer(root, root) / total, spectrum), _lost_weight(mass)
 
 
 def coherent_truncation_loss(eta: complex, dim: int) -> float:
@@ -435,11 +447,14 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMat
     The thermal weights w_n = n_th^n / (1 + n_th)^{n+1} are formed once; a
     TruncationWarning is emitted when their dropped tail, or the weight the
     displacement moves past the cutoff, exceeds COHERENT_LOSS_TOL, and
-    suggests the state's `_displaced_thermal_dim(alpha, n_th)`. At
+    suggests the state's `_displaced_thermal_dim(alpha, n_th)`. These reports
+    are per component: the displaced state itself can lose more weight than
+    either (1.05e-3 at alpha = 3, n_th = 0.5, dim = 27, where both are silent),
+    which only `analytic.to_density_matrix`'s dimension warning catches. At
     alpha = 0 the state is diagonal. Otherwise diag(w) commutes with Q', so
     the state is Q' R Q'+ with the real symmetric R = O(r) diag(w) O(r)^T,
     built in real arithmetic and divided by its trace. O(r) is orthogonal,
-    so the state's `spectrum` is set here, with no eigensolve: the kept
+    so the state's `spectrum` is passed in, with no eigensolve: the kept
     weights over that trace and a zero for each dropped level. `validate`
     checks Hermiticity and the trace on R; its positivity check reads that
     spectrum, which is sound because O diag(w) O^T with w >= 0 is positive
@@ -467,10 +482,7 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMat
     trace = np.trace(real)
     real /= trace
     spectrum = np.sort(np.where(kept, weights / trace, 0.0))
-    spectrum.setflags(write=False)
-    rho = DensityMatrix._from_phased_real(alpha, real)
-    object.__setattr__(rho, "spectrum", spectrum)  # the cached property's value
-    return rho.validate()
+    return DensityMatrix._framed(alpha, real, spectrum).validate()
 
 
 def thermal_state(n_th: float, dim: int) -> DensityMatrix:
@@ -517,23 +529,27 @@ def fidelity_with_coherent(rho: DensityMatrix, eta: complex) -> float:
 def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """Half the trace norm of rho1 - rho2.
 
-    When both states are kept in a frame and their phases q1, q2 agree to
-    within dim * _PHASE_MATCH_TOL, this is half the trace norm of the
-    difference of their real cores, R1 - R2. With Q1 = Q2 diag(delta) that
-    differs from the exact value by at most max |delta_n - 1| ||R1||_1 =
-    max |q1_n - q2_n| (||R1||_1 = 1 for a state): the phase mismatch, the
-    same order as the round-off of the complex difference of the entries.
+    When the phases q1, q2 of the two frames agree to within
+    dim * _PHASE_MATCH_TOL (two identity frames always do), this is half the
+    trace norm of the difference of the cores, C1 - C2, and otherwise of the
+    entries. With Q1 = Q2 diag(delta) the first differs from the exact value
+    by at most max |delta_n - 1| ||C1||_1 = max |q1_n - q2_n| (||C1||_1 = 1
+    for a state): the phase mismatch, the same order as the round-off of the
+    complex difference of the entries. The solver reads one triangle, so a
+    difference not Hermitian to 2 * HERMITICITY_TOL raises NotAStateError.
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatchError(
             f"trace distance between dim {rho1.dim} and dim {rho2.dim} states"
         )
-    matched = rho1._alpha is not None and rho2._alpha is not None and bool(
-        np.max(np.abs(_displacement_phases(rho1._alpha, rho1.dim)
-                      - _displacement_phases(rho2._alpha, rho2.dim)))
-        <= _PHASE_MATCH_TOL * rho1.dim
-    )
+    q1, q2 = (_displacement_phases(rho._alpha, rho.dim) for rho in (rho1, rho2))
+    matched = np.max(np.abs(q1 - q2)) <= _PHASE_MATCH_TOL * rho1.dim
     diff = rho1._core - rho2._core if matched else rho1.entries - rho2.entries
+    herm_dev = float(np.max(np.abs(diff - diff.conj().T)))
+    if not herm_dev <= 2.0 * HERMITICITY_TOL:
+        raise NotAStateError(
+            f"trace distance of a non-Hermitian difference: max deviation {herm_dev:.3e}"
+        )
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 

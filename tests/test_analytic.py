@@ -144,6 +144,18 @@ class TestToDensityMatrix:
         with pytest.warns(TruncationWarning):
             to_density_matrix(state, 12)
 
+    def test_warns_where_each_component_report_is_silent(self):
+        # The thermal tail (1.3e-13) and the displacement's loss (9.6e-7) each
+        # stay below COHERENT_LOSS_TOL, so `displaced_thermal_state` is silent,
+        # yet the state puts 1.05e-3 of its weight beyond level 26.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            fock.displaced_thermal_state(3.0, 0.5, 27)
+        wide = fock.displaced_thermal_state(3.0, 0.5, 400)
+        assert float(np.sum(np.diagonal(wide.entries).real[27:])) > 1e-3
+        with pytest.warns(TruncationWarning, match="dim=27 is below the suggested 56"):
+            to_density_matrix(GaussianChannelState(3.0, 0.5), 27)
+
     @staticmethod
     def _expm_sandwich(state, dim):
         # D thermal D+ with D from the matrix exponential, renormalized

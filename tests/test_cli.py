@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import math
 import shlex
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from bmc import (
     ChannelParams,
     ConfigError,
+    DensityMatrix,
     InvalidDimensionError,
     InvalidParameterError,
     InvalidTimeError,
@@ -24,7 +26,7 @@ from bmc import (
     optimal_nbar,
     von_neumann_entropy,
 )
-from bmc import analytic, cli, lindblad
+from bmc import analytic, cli, fock, lindblad
 from bmc.capacity import theta_at_nbar
 from bmc.cli import (
     EXIT_NO_OPTIMUM,
@@ -354,6 +356,21 @@ class TestValidateEigensolves:
         state = evolve_coherent_analytic(eta, REF, t)
         von_neumann_entropy(analytic.to_density_matrix(state, cli.DEFAULT_DIM))
         assert calls == []
+
+
+def test_validation_forms_no_entries(monkeypatch):
+    # the trace distances compare cores in matched frames and the entropies
+    # read spectra: no complex entries Q C Q+ are formed on the default grid
+    formed = []
+    form = DensityMatrix.entries.func
+    counted = functools.cached_property(lambda rho: formed.append(rho.dim) or form(rho))
+    counted.__set_name__(DensityMatrix, "entries")
+    monkeypatch.setattr(DensityMatrix, "entries", counted)
+    report = run_validation(REF)
+    assert all(report.point_passed)
+    assert formed == []
+    fock.thermal_state(0.1, 12).entries  # the wrapper counts a read
+    assert formed == [12]
 
 
 class TestSharedParser:

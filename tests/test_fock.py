@@ -20,6 +20,7 @@ from bmc import (
     InvalidDimensionError,
     InvalidParameterError,
     NotAStateError,
+    StateVector,
     TruncationWarning,
     coherent_state,
     coherent_truncation_loss,
@@ -454,6 +455,41 @@ class TestTraceDistance:
         assert dtypes == [np.complex128, np.complex128]
 
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # two states given by their entries: their identity frames match, so
+            # the cores are compared; half the trace norm is 0.25, one triangle 0.0
+            lambda: (DensityMatrix([[0.5, 0.5], [0.0, 0.5]]), DensityMatrix(np.eye(2) / 2)),
+            # framed states in one frame, one with an asymmetric core
+            lambda: (
+                DensityMatrix._framed(np.exp(0.7j), [[0.5, 1e-9], [0.0, 0.5]]),
+                DensityMatrix._framed(np.exp(0.7j), np.eye(2) / 2),
+            ),
+            # frames that do not match: the entries are compared
+            lambda: (DensityMatrix([[0.5, 0.5], [0.0, 0.5]]), fock._coherent_projector(0.5j, 2)[0]),
+        ],
+        ids=["identity-frames", "one-frame", "different-frames"],
+    )
+    def test_a_non_hermitian_difference_is_refused(self, build):
+        # the solver reads one triangle, so it would see a Hermitian matrix
+        rho1, rho2 = build()
+        with pytest.raises(NotAStateError, match="non-Hermitian difference"):
+            trace_distance(rho1, rho2)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.7])
+    def test_identity_frames_compare_cores_bit_for_bit(self, eta):
+        # a state given by its entries against one framed by eta >= 0, whose
+        # phases are all 1: C1 - C2 equals the entries' difference bit for bit
+        dim = 20
+        plain = projector(coherent_state(eta, dim))
+        framed, _ = fock._coherent_projector(eta, dim)
+        thermal = thermal_state(0.3, dim)
+        for rho1, rho2 in [(plain, framed), (thermal, plain), (framed, thermal)]:
+            expected = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho1.entries - rho2.entries)))
+            assert trace_distance(rho1, rho2) == expected
+
+
 class TestDensityMatrixType:
     def test_entries_read_only(self):
         rho = thermal_state(0.2, 12)
@@ -482,9 +518,31 @@ class TestDensityMatrixType:
     def test_validate_flags_a_negative_eigenvalue_of_a_framed_core(self):
         # the core is Hermitian with unit trace, and its determinant -2.5e-7
         # is its negative eigenvalue to first order
-        rho = DensityMatrix._from_phased_real(0.7j, [[0.5005, 0.5], [0.5, 0.4995]])
+        rho = DensityMatrix._framed(0.7j, [[0.5005, 0.5], [0.5, 0.4995]])
         with pytest.raises(NotAStateError, match="not positive semidefinite"):
             rho.validate()
+
+    def test_entropy_of_a_nan_state_is_refused_where_it_enters(self):
+        # a NaN eigenvalue fails every comparison, so the entropy would read -0.0
+        with pytest.raises(NotAStateError, match="NaN or infinite entry"):
+            von_neumann_entropy(DensityMatrix(np.diag([np.nan, 1.0])))
+
+    def test_trace_distance_to_a_nan_state_is_refused_where_it_enters(self):
+        # eigvalsh of the difference would read 0.0 here
+        with pytest.raises(NotAStateError, match="NaN or infinite entry"):
+            trace_distance(DensityMatrix(np.diag([np.nan, 1.0])), DensityMatrix(np.eye(2) / 2))
+
+    def test_projector_of_a_nan_vector_is_refused_where_it_enters(self):
+        # the projector would be all NaN, with only a RuntimeWarning
+        with pytest.raises(NotAStateError, match="NaN or infinite amplitude"):
+            projector(StateVector(np.array([np.nan, 1.0])))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0.0, np.nan), complex(0.5, np.inf)])
+    def test_every_non_finite_value_is_refused(self, bad):
+        with pytest.raises(NotAStateError, match="NaN or infinite"):
+            DensityMatrix(np.array([[0.5, bad], [0.0, 0.5]]))
+        with pytest.raises(NotAStateError, match="NaN or infinite"):
+            StateVector(np.array([1.0, bad]))
 
     def test_constructor_outputs_pass_validation(self):
         rng = np.random.default_rng(7)
@@ -586,17 +644,47 @@ class TestSpectrum:
         real = real + real.T
         alpha = 0.8 * np.exp(2.2j)
         phases = fock._displacement_phases(alpha, 6)
-        rho = DensityMatrix._from_phased_real(alpha, real)
+        rho = DensityMatrix._framed(alpha, real)
         assert np.array_equal(rho.entries, real * np.outer(phases, phases.conj()))
         assert not rho._core.flags.writeable and not rho.entries.flags.writeable
         real[0, 0] = 99.0  # the caller's array is copied
         assert rho._core[0, 0] != 99.0
 
+    def test_framed_entries_are_formed_on_first_read(self):
+        rng = np.random.default_rng(5)
+        real = rng.standard_normal((7, 7))
+        real = real + real.T
+        rho = DensityMatrix._framed(1.3 * np.exp(-0.4j), real)
+        phases = fock._displacement_phases(rho._alpha, 7)
+        assert "entries" not in vars(rho)
+        entries = rho.entries
+        assert np.array_equal(entries, rho._core * np.outer(phases, phases.conj()))
+        assert not entries.flags.writeable
+        assert rho.entries is entries
+
+    def test_a_spectrum_passed_to_framed_is_the_one_read(self, monkeypatch):
+        solve = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: calls.append(1) or solve(mat))
+        # the core's own eigenvalues are 0 and 1; the passed ones are read instead
+        core = np.full((2, 2), 0.5)
+        spectrum = np.array([0.25, 0.75])
+        rho = DensityMatrix._framed(0.3 - 0.4j, core, spectrum)
+        assert rho.spectrum is spectrum and not spectrum.flags.writeable
+        assert rho.validate() is rho
+        assert von_neumann_entropy(rho) == pytest.approx(
+            -0.25 * math.log2(0.25) - 0.75 * math.log2(0.75), abs=1e-15
+        )
+        negative = DensityMatrix._framed(0.3 - 0.4j, core, np.array([-0.1, 1.1]))
+        with pytest.raises(NotAStateError, match=r"min eigenvalue -1\.000e-01"):
+            negative.validate()
+        assert calls == []
+
     def test_with_core_keeps_the_frame(self):
         rho = thermal_state(0.1, 8)
-        assert rho._core is rho.entries and rho._alpha is None
+        assert rho._core is rho.entries and rho._alpha == 0
         moved = rho._with_core(np.diag(np.arange(8.0)))
-        assert moved._alpha is None and moved.entries.dtype == np.complex128
+        assert moved._alpha == 0 and moved.entries.dtype == np.complex128
         framed, _ = fock._coherent_projector(0.5 - 0.5j, 8)
         real = np.array(framed._core)
         again = framed._with_core(real)
@@ -607,7 +695,7 @@ class TestSpectrum:
     def test_phased_real_state_with_asymmetric_real_part_is_not_hermitian(self):
         real = np.diag([0.5, 0.3, 0.2])
         real[0, 1] = 1e-9
-        rho = DensityMatrix._from_phased_real(np.exp(0.7j), real)
+        rho = DensityMatrix._framed(np.exp(0.7j), real)
         with pytest.raises(NotAStateError, match=r"not Hermitian: max deviation 1\.000e-09"):
             rho.validate()
 

@@ -1,10 +1,12 @@
 """Structural guards on the package.
 
-The phase frame of a density matrix is private to `bmc.fock`. A state built
-in a displacement's frame Q keeps its real core R with entries = Q R Q+;
-other modules see only `_core` and `_with_core`. The frame test fails when
-another module names the frame's parts again, so the frame's format cannot
-leak out of `fock` unnoticed.
+The phase frame of a density matrix is private to `bmc.fock`. A state is a
+frame Q and a core C with entries = Q C Q+, formed on first read: the real
+R of a state built in a displacement's frame (`_framed`), or the entries of
+a state given by them, whose frame is the identity. Other modules see only
+`_core` and `_with_core`. The frame test fails when another module names
+the frame's parts again, so the frame's format cannot leak out of `fock`
+unnoticed.
 
 Every public number and amplitude is read through `fock._check_real`,
 `_check_time` or `_check_amplitude`. The coercion test fails when a public
@@ -31,7 +33,7 @@ from bmc import ChannelParams, InvalidParameterError
 
 SRC = Path(__file__).parent.parent / "src" / "bmc"
 # `_alpha` is where a state keeps its frame's displacement.
-FRAME_NAMES = {"_phases", "_alpha", "_from_phased_real", "_displacement_phases"}
+FRAME_NAMES = {"_phases", "_alpha", "_framed", "_displacement_phases"}
 
 
 def _names(tree: ast.AST) -> set[str]:
@@ -55,8 +57,8 @@ def test_only_fock_names_the_phase_frame(path):
 
 def test_the_guard_sees_the_names():
     # a phase test of the kind `evolve_trajectory` once held
-    snippet = "steps = rho0._phases[1:]\nstate = DensityMatrix._from_phased_real(rho0._phases, y)\n"
-    assert _names(ast.parse(snippet)) & FRAME_NAMES == {"_phases", "_from_phased_real"}
+    snippet = "steps = rho0._phases[1:]\nstate = DensityMatrix._framed(rho0._phases, y)\n"
+    assert _names(ast.parse(snippet)) & FRAME_NAMES == {"_phases", "_framed"}
     assert _names(ast.parse("from .fock import _displacement_phases")) & FRAME_NAMES == {
         "_displacement_phases"
     }
