@@ -13,6 +13,7 @@ import math
 import numbers
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,9 +147,13 @@ class DensityMatrix:
     ) -> "DensityMatrix":
         """Check the invariant triple; return self or raise NotAStateError."""
         # Q C Q+ with Q diagonal unitary deviates from Hermitian exactly as C,
-        # element by element, so the core is checked.
+        # element by element, so the core is checked. A real core's deviation
+        # takes its modulus in place: past about 128 KB (d ~ 128) each d x d
+        # temporary comes from fresh pages, which cost more than the check.
         mat = self._core
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
+        dev = mat - mat.conj().T
+        dev = np.abs(dev) if np.iscomplexobj(dev) else np.abs(dev, out=dev)
+        herm_dev = float(dev.max())
         if not herm_dev <= herm_tol:
             raise NotAStateError(
                 f"not Hermitian: max deviation {herm_dev:.3e} > {herm_tol:.1e}"
@@ -282,6 +287,17 @@ def _lost_weight(mass: np.ndarray) -> float:
     return max(0.0, float(1.0 - mass[0] - np.sum(mass[1:])))
 
 
+def _poisson_tail_bound(x: float, dim: int) -> float:
+    """Chernoff bound e^{-x} (e x / dim)^dim on the weight a Poisson mass of
+    mean x puts at n >= dim, for 0 < x < dim; 1 elsewhere, which bounds any
+    weight. An x that underflows to 0 at a nonzero amplitude thus takes the
+    exact sum, never log(0).
+    """
+    if not 0.0 < x < dim:
+        return 1.0
+    return math.exp(dim * (1.0 + math.log(x) - math.log(dim)) - x)
+
+
 def _check_truncation(
     what: str,
     loss: float,
@@ -291,15 +307,25 @@ def _check_truncation(
     error: type | None = None,
     *,
     args: tuple = (),
+    exact: Callable[[], float] | None = None,
 ) -> None:
     """The one truncation report in bmc: raise `error`, or else warn with a
     TruncationWarning, when `what.format(*args)` loses weight
     `loss` > COHERENT_LOSS_TOL at `dim` levels, suggesting the dimension
     `_displaced_thermal_dim(alpha, n_th)` of the state being built. The label
     is formatted only when the report fires.
+
+    With `exact`, `loss` is an O(1) upper bound on the weight and `exact()`
+    forms the weight itself, which the report then compares and names: it is
+    formed only when the bound exceeds half the tolerance. That half covers
+    the rounding of the formed weight (about dim * eps), so the screen
+    silences no report the exact weight alone would fire.
     """
-    if not loss > COHERENT_LOSS_TOL:
-        return
+    estimates = ((loss, 1.0),) if exact is None else ((loss, 0.5), (exact, 1.0))
+    for estimate, share in estimates:
+        loss = estimate() if callable(estimate) else estimate
+        if not loss > share * COHERENT_LOSS_TOL:
+            return
     message = (
         f"{what.format(*args)} loses weight {loss:.3e} at dim={dim}; "
         f"suggest dim >= {_displaced_thermal_dim(alpha, n_th)}"
@@ -312,6 +338,16 @@ def _check_truncation(
     while frame.f_back is not None and frame.f_globals.get("__name__", "").startswith("bmc."):
         frame, level = frame.f_back, level + 1
     warnings.warn(message, TruncationWarning, stacklevel=level)
+
+
+def _check_displacement(alpha: complex, dim: int, n_th: float) -> None:
+    # The report on the weight a displacement by alpha moves past the cutoff,
+    # the Poisson tail of |alpha|^2, screened by its O(1) bound.
+    x = abs(alpha) ** 2
+    _check_truncation(
+        "displacement by {}", _poisson_tail_bound(x, dim), dim, alpha, n_th, args=(alpha,),
+        exact=lambda: _lost_weight(_poisson_mass(x, dim)),
+    )
 
 
 def _coherent_amplitudes(eta: complex, dim: int) -> tuple[np.ndarray, float]:
@@ -380,24 +416,32 @@ def _parity_basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return left, sigma, right
 
 
-def _real_displacement(r: float, dim: int) -> np.ndarray:
-    """O(r) = exp(r (a+ - a)) on the truncated space: real orthogonal.
+def _real_displacement(r: float, dim: int, cols: int) -> np.ndarray:
+    """The first `cols` columns of O(r) = exp(r (a+ - a)) on the truncated
+    space, which is real orthogonal; O(dim^2 cols) work.
 
-    The generator only links even and odd levels, so O splits into parity
-    blocks from the SVD of its odd<-even block B: W cos(r sigma) W^T on the
-    even levels (cos padded with a 1 when dim is odd), U cos(r sigma) U^T on
-    the odd ones, L = U sin(r sigma) W[:, :dim // 2]^T (odd rows, even
-    columns) and -L^T.
+    The generator only links even and odd levels: with the SVD
+    B = U diag(sigma) W^T of its odd<-even block, W on the even levels and U
+    on the odd ones form a basis in which it pairs even mode k with odd
+    mode k at frequency sigma_k (an even mode left over when dim is odd is
+    still). So O = V T V^T, with V that basis and T the rotation by
+    r sigma_k of each pair. Column j of V^T is row j of W or U; only the
+    kept ones are rotated, and one product per parity maps them back.
     """
     left, sigma, right = _parity_basis(dim)
     odd = dim // 2
-    cos = np.cos(r * sigma)
-    lower = (left * np.sin(r * sigma)) @ right[:, :odd].T
-    out = np.empty((dim, dim))
-    out[0::2, 0::2] = (right * np.append(cos, np.ones(dim - 2 * odd))) @ right.T
-    out[1::2, 1::2] = (left * cos) @ left.T
-    out[1::2, 0::2] = lower
-    out[0::2, 1::2] = -lower.T
+    cos, sin = np.cos(r * sigma)[:, None], np.sin(r * sigma)[:, None]
+    even, odd_cols = right[: (cols + 1) // 2].T, left[: cols // 2].T
+    head = np.zeros((dim - odd, cols))  # even-mode parts of the kept columns
+    head[:, 0::2] = even
+    head[:odd, 0::2] *= cos
+    head[:odd, 1::2] = -sin * odd_cols
+    tail = np.empty((odd, cols))  # odd-mode parts
+    tail[:, 0::2] = sin * even[:odd]
+    tail[:, 1::2] = cos * odd_cols
+    out = np.empty((dim, cols))
+    out[0::2] = right @ head
+    out[1::2] = left @ tail
     return out
 
 
@@ -427,10 +471,9 @@ def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     alpha = _check_amplitude(alpha, "displacement")
     if alpha == 0:
         return np.eye(dim, dtype=complex)
-    loss = coherent_truncation_loss(alpha, dim)
-    _check_truncation("displacement by {}", loss, dim, alpha, 0.0, args=(alpha,))
+    _check_displacement(alpha, dim, 0.0)
     phases = _displacement_phases(alpha, dim)
-    return _real_displacement(abs(alpha), dim) * np.outer(phases, phases.conj())
+    return _real_displacement(abs(alpha), dim, dim) * np.outer(phases, phases.conj())
 
 
 def projector(state: StateVector) -> DensityMatrix:
@@ -450,15 +493,21 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMat
     suggests the state's `_displaced_thermal_dim(alpha, n_th)`. These reports
     are per component: the displaced state itself can lose more weight than
     either (1.05e-3 at alpha = 3, n_th = 0.5, dim = 27, where both are silent),
-    which only `analytic.to_density_matrix`'s dimension warning catches. At
-    alpha = 0 the state is diagonal. Otherwise diag(w) commutes with Q', so
-    the state is Q' R Q'+ with the real symmetric R = O(r) diag(w) O(r)^T,
-    built in real arithmetic and divided by its trace. O(r) is orthogonal,
-    so the state's `spectrum` is passed in, with no eigensolve: the kept
-    weights over that trace and a zero for each dropped level. `validate`
-    checks Hermiticity and the trace on R; its positivity check reads that
-    spectrum, which is sound because O diag(w) O^T with w >= 0 is positive
-    semidefinite by construction.
+    which only `analytic.to_density_matrix`'s dimension warning catches. The
+    displacement's report sums the Poisson mass of |alpha|^2 only when its
+    O(1) Chernoff bound does not already clear it (`_check_truncation`).
+
+    At alpha = 0 the state is the real diagonal core diag(w). Otherwise
+    diag(w) commutes with Q', so the state is Q' R Q'+ with the real
+    symmetric R = O(r) diag(w) O(r)^T, built in real arithmetic and divided
+    by its trace. Only the K weights above eps^2 of the first are kept, so
+    only the first K columns of O(r) are built and R costs O(dim^2 K), not
+    O(dim^3); K stays small while n_th does (16 at n_th = 0.0107, for any
+    dim). O(r) is orthogonal, so the state's `spectrum` is passed in, with no
+    eigensolve: the kept weights over that trace and a zero for each dropped
+    level. `validate` checks Hermiticity and the trace on R; its positivity
+    check reads that spectrum, which is sound because O diag(w) O^T with
+    w >= 0 is positive semidefinite by construction.
     """
     dim = _check_dim(dim)
     alpha = _check_amplitude(alpha, "displacement")
@@ -470,18 +519,18 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMat
     weights = (1.0 / (1.0 + n_th)) * ratio ** np.arange(dim)
     weights /= weights.sum()
     if alpha == 0:
-        return DensityMatrix(np.diag(weights)).validate()
-    loss = coherent_truncation_loss(alpha, dim)
-    _check_truncation("displacement by {}", loss, dim, alpha, n_th, args=(alpha,))
-    # Levels below eps^2 of the largest weight move no entry or eigenvalue
-    # beyond rounding; leaving them out also keeps subnormal products, and
-    # their slow arithmetic, out of the matrix product.
-    kept = weights > _NEGLIGIBLE_WEIGHT * weights.max()
-    columns = _real_displacement(abs(alpha), dim)[:, kept]
-    real = (columns * weights[kept]) @ columns.T
+        return DensityMatrix._framed(0, np.diag(weights), np.sort(weights)).validate()
+    _check_displacement(alpha, dim, n_th)
+    # The weights fall with n, and those below eps^2 of the first move no
+    # entry or eigenvalue beyond rounding, so only the first `kept` columns
+    # of O(r) are built; leaving the rest out also keeps subnormal products,
+    # and their slow arithmetic, out of the matrix product.
+    kept = int(np.count_nonzero(weights > _NEGLIGIBLE_WEIGHT * weights[0]))
+    columns = _real_displacement(abs(alpha), dim, kept)
+    real = (columns * weights[:kept]) @ columns.T
     trace = np.trace(real)
     real /= trace
-    spectrum = np.sort(np.where(kept, weights / trace, 0.0))
+    spectrum = np.concatenate((np.zeros(dim - kept), weights[kept - 1 :: -1] / trace))
     return DensityMatrix._framed(alpha, real, spectrum).validate()
 
 
@@ -518,7 +567,9 @@ def fidelity_with_coherent(rho: DensityMatrix, eta: complex) -> float:
     """
     amps, loss = _coherent_amplitudes(eta, rho.dim)
     _check_truncation("fidelity with |{}>", loss, rho.dim, eta, 0.0, args=(eta,))
-    value = complex(np.vdot(amps, rho.entries @ amps))
+    # <eta| Q C Q+ |eta> = v+ C v with v = Q+ |eta>
+    vec = _displacement_phases(rho._alpha, rho.dim).conj() * amps
+    value = complex(np.vdot(vec, rho._core @ vec))
     if abs(value.imag) > 1e-10:
         raise NotAStateError(
             f"coherent-state overlap has imaginary part {value.imag:.3e}"
@@ -554,14 +605,23 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
 
 
 def mean_photon_number(rho: DensityMatrix) -> float:
-    """Expectation of the number operator, Tr(rho a+ a)."""
-    return float(np.real(np.diagonal(rho.entries)) @ np.arange(rho.dim))
+    """Expectation of the number operator, Tr(rho a+ a).
+
+    Read from the core: Q is diagonal and unitary, so the diagonal of
+    Q C Q+ is that of C.
+    """
+    return float(np.real(np.diagonal(rho._core)) @ np.arange(rho.dim))
 
 
 def field_amplitude(rho: DensityMatrix) -> complex:
-    """Expectation of the annihilation operator, Tr(rho a)."""
-    sub = np.diagonal(rho.entries, offset=-1)
-    return complex(np.sum(np.sqrt(np.arange(1, rho.dim)) * sub))
+    """Expectation of the annihilation operator, Tr(rho a).
+
+    Read from the core: with Q = diag(e^{i phi n}) the first subdiagonal of
+    Q C Q+ is e^{i phi} times that of C.
+    """
+    sub = np.diagonal(rho._core, offset=-1)
+    step = _displacement_phases(rho._alpha, 2)[1]
+    return complex(step * np.sum(np.sqrt(np.arange(1, rho.dim)) * sub))
 
 
 def suggested_dim(mean_photons: float, variance: float) -> int:

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import re
@@ -6,6 +7,7 @@ import sys
 import threading
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -246,7 +248,7 @@ class TestDisplacementOperator:
         if dim <= 100:
             radii += (3.0,)
         for r in radii:
-            built = fock._real_displacement(r, dim)
+            built = fock._real_displacement(r, dim, dim)
             assert built.dtype == np.float64
             err = np.max(np.abs(built - expm_displacement(r, dim)))
             assert err <= 1e-12, (r, err)
@@ -305,6 +307,18 @@ class TestThermalState:
         with pytest.warns(TruncationWarning, match=f"suggest dim >= {thermal_tail_dim(5.0)}"):
             rho = thermal_state(5.0, 10)
         assert mean_photon_number(rho) == pytest.approx(3.07, abs=0.01)
+
+    @pytest.mark.parametrize("n_th", [0.0, 0.3, 4.0])
+    def test_a_thermal_state_is_a_real_core(self, n_th):
+        # its spectrum is bit-equal to the diagonal shortcut of the complex
+        # state given by the same weights
+        rho = thermal_state(n_th, 120)
+        assert rho._core.dtype == np.float64 and rho._alpha == 0
+        given = DensityMatrix(rho._core)
+        assert np.array_equal(rho.spectrum, given.spectrum)
+        assert not rho.spectrum.flags.writeable
+        assert np.array_equal(rho.entries, given.entries)
+        assert von_neumann_entropy(rho) == von_neumann_entropy(given)
 
     def test_a_huge_occupation_suggests_a_finite_dimension(self):
         # the photon-number variance n (n + 1) overflows past about 1.3e154
@@ -681,7 +695,8 @@ class TestSpectrum:
         assert calls == []
 
     def test_with_core_keeps_the_frame(self):
-        rho = thermal_state(0.1, 8)
+        # a state given by its entries; a thermal state's core is real
+        rho = DensityMatrix(thermal_state(0.1, 8).entries)
         assert rho._core is rho.entries and rho._alpha == 0
         moved = rho._with_core(np.diag(np.arange(8.0)))
         assert moved._alpha == 0 and moved.entries.dtype == np.complex128
@@ -713,6 +728,61 @@ class TestFieldAmplitude:
 
     def test_thermal_has_no_field(self):
         assert field_amplitude(thermal_state(0.7, 40)) == pytest.approx(0.0, abs=1e-15)
+
+
+class TestReadersReadTheCore:
+    """`mean_photon_number`, `field_amplitude` and `fidelity_with_coherent`
+    read a state's core and phases, never its complex entries."""
+
+    @staticmethod
+    def _states(alpha, n_th, dim):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            framed = fock.displaced_thermal_state(alpha, n_th, dim)
+            given = DensityMatrix(fock.displaced_thermal_state(alpha, n_th, dim).entries)
+            projected, _ = fock._coherent_projector(alpha, dim)
+            thermal = thermal_state(n_th, dim)
+        return framed, projected, thermal, given
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        alpha=st.complex_numbers(max_magnitude=4.0),
+        eta=st.complex_numbers(max_magnitude=4.0),
+        n_th=st.floats(0.0, 2.0),
+        dim=st.integers(2, 40),
+    )
+    def test_readers_agree_with_the_entries_and_form_none(self, alpha, eta, n_th, dim):
+        states = self._states(alpha, n_th, dim)
+        entries = DensityMatrix.__dict__["entries"]
+        formed = []
+
+        def counted(rho):
+            formed.append(rho.dim)
+            return entries.func(rho)
+
+        counting = functools.cached_property(counted)
+        counting.__set_name__(DensityMatrix, "entries")
+        with mock.patch.object(DensityMatrix, "entries", counting), warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            read = [
+                (mean_photon_number(rho), field_amplitude(rho), fidelity_with_coherent(rho, eta))
+                for rho in states
+            ]
+        assert formed == []
+        # Each reader sums terms that may cancel, so it is compared to 1e-15
+        # of the sum of their moduli, which is the value where none cancel;
+        # `tiny` admits the coarser rounding of subnormal values.
+        amps, _ = fock._coherent_amplitudes(eta, dim)
+        levels, tiny = np.arange(dim), 1e-300
+        for rho, (mean, field, fidelity) in zip(states, read):
+            mat = rho.entries
+            diag = np.real(np.diagonal(mat))
+            assert abs(mean - diag @ levels) <= 1e-15 * (np.abs(diag) @ levels) + tiny
+            terms = np.sqrt(levels[1:]) * np.diagonal(mat, offset=-1)
+            assert abs(field - np.sum(terms)) <= 1e-15 * np.sum(np.abs(terms)) + tiny
+            value = complex(np.vdot(amps, mat @ amps)).real
+            scale = np.abs(amps) @ np.abs(mat) @ np.abs(amps)
+            assert abs(fidelity - value) <= 1e-15 * scale + tiny
 
 
 class TestTruncationReport:

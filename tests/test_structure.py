@@ -18,6 +18,10 @@ one place that compares a loss against `COHERENT_LOSS_TOL`. The report test
 fails when another module names the tolerance, or `fock` compares against it
 a second time: a hand-rolled report again.
 
+A state's complex entries are formed only where no core will do: the
+entries test fails when a function other than `trace_distance` (for states
+in mismatched frames) and `lindblad_rhs` reads `.entries`.
+
 The channel is the thermal attenuator: `ChannelParams` has no field beyond
 the decay rate, the thermal noise rate and the ensemble's mean photon number.
 """
@@ -135,6 +139,34 @@ def test_the_guard_sees_the_loss_tolerance():
     tree = ast.parse(snippet)
     assert _loss_tol_comparisons(tree) == 2
     assert LOSS_TOL in _names(ast.parse("from .fock import COHERENT_LOSS_TOL"))
+
+
+# The functions that may form a state's complex entries: a difference of two
+# states in mismatched frames, and the full-matrix generator.
+ENTRIES_READERS = {"trace_distance", "lindblad_rhs"}
+
+
+def _entries_readers(tree: ast.AST) -> set[str]:
+    return {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "entries"
+    }
+
+
+def test_only_two_functions_read_the_entries():
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= _entries_readers(ast.parse(path.read_text(), filename=str(path)))
+    assert found == ENTRIES_READERS
+
+
+def test_the_guard_sees_the_entries_readers():
+    # the reader `mean_photon_number` once was
+    snippet = "def mean_photon_number(rho):\n    return np.diagonal(rho.entries) @ n\n"
+    assert _entries_readers(ast.parse(snippet)) == {"mean_photon_number"}
 
 
 def test_channel_params_has_the_thermal_attenuator_fields_only():
