@@ -10,10 +10,8 @@ explicit truncated density matrix.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .errors import TruncationWarning
 from . import fock
 from .fock import DensityMatrix, _check_time
 from .lindblad import ChannelParams
@@ -72,14 +70,6 @@ def suggested_dim(state: GaussianChannelState) -> int:
 
 
 def to_density_matrix(state: GaussianChannelState, dim: int) -> DensityMatrix:
-    """Explicit truncated matrix D(d) thermal(n_th) D+(d), renormalized."""
-    dim = fock._check_dim(dim)
-    needed = suggested_dim(state)
-    if dim < needed:
-        warnings.warn(
-            f"dim={dim} is below the suggested {needed} for displacement "
-            f"{state.displacement} with {state.thermal_photons:.4g} thermal photons",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    """Explicit truncated matrix D(d) thermal(n_th) D+(d), renormalized; its
+    one truncation report is `fock.displaced_thermal_state`'s."""
     return fock.displaced_thermal_state(state.displacement, state.thermal_photons, dim)

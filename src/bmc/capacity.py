@@ -183,7 +183,6 @@ class OptimalSignalResult:
     n_bar_opt: float
     theta_at_opt: float
     criterion_residual: float
-    second_order_ok: bool
     interior_optimum: bool = True
 
 
@@ -282,11 +281,11 @@ def optimal_nbar(
     dTheta/dn_bar = F_bar^2 s with s strictly decreasing (`_theta_slope`).
     So there is no interior maximum exactly when s >= 0 at search_max
     (flagged, not raised), and otherwise one bracketed root of s on
-    (0+, search_max] locates it. The paper's printed-criterion residual and
-    the second-order check, the sign of ds/dlog n_bar (d^2 Theta/dn_bar^2 =
-    F_bar^2 (ds/dlog n_bar) / n_bar at the root), are evaluated at the result;
-    where the residual outgrows a double (an optimum at gamma t near 700 or
-    beyond) it is reported as NaN and the optimum is still returned.
+    (0+, search_max] locates it. That root is a maximum: there
+    d^2 Theta/dn_bar^2 = F_bar^2 (ds/dlog n_bar) / n_bar < 0. The paper's
+    printed-criterion residual is evaluated at the result; where it outgrows
+    a double (an optimum at gamma t near 700 or beyond) it is reported as NaN
+    and the optimum is still returned.
     """
     t = _check_time(t, positive=True)
     search_max = _check_real(search_max, "search_max", positive=True)
@@ -301,7 +300,6 @@ def optimal_nbar(
             n_bar_opt=math.nan,
             theta_at_opt=math.nan,
             criterion_residual=math.nan,
-            second_order_ok=False,
             interior_optimum=False,
         )
 
@@ -311,7 +309,6 @@ def optimal_nbar(
     log_lo = math.log(math.ulp(0.0) / decay)
     n_opt = min(math.exp(_slope_root(log_lo, log_max, slope_args)), search_max)
     theta_opt = theta_at_nbar(params, t, n_opt)
-    second_order_ok = _theta_slope(math.log(n_opt), *slope_args)[1] < 0.0
     try:
         residual = criterion_residual(n_opt, params, t)
     except InvalidParameterError:  # the printed criterion is beyond a double here
@@ -320,5 +317,4 @@ def optimal_nbar(
         n_bar_opt=n_opt,
         theta_at_opt=theta_opt,
         criterion_residual=residual,
-        second_order_ok=second_order_ok,
     )

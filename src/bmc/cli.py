@@ -479,10 +479,6 @@ def _run_optimal(args) -> int:
     print(f"n_bar_opt          = {result.n_bar_opt:.9g}")
     print(f"theta(n_bar_opt)   = {result.theta_at_opt:.9g} bits")
     print(f"criterion residual = {result.criterion_residual:.9g}")
-    print(
-        "second-order check =",
-        "maximum confirmed" if result.second_order_ok else "NOT confirmed",
-    )
     if args.curve:
         path = write_theta_curve(params, t, search_max, args.out)
         print(f"theta curve written to {path}")

@@ -32,7 +32,11 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
 
-# Coherent-state truncation losses above this level trigger a warning.
+# Deviation from Hermitian up to which a spectrum is read: the loosest
+# `herm_tol` bmc's own `validate` calls pass (lindblad's `_EVOLVE_HERM_TOL`).
+_SPECTRUM_HERM_TOL = 1e-10
+
+# Truncation losses above this level are reported (`_check_truncation`).
 COHERENT_LOSS_TOL = 1e-6
 
 # Thermal weights below this fraction of the largest are left out of a
@@ -80,13 +84,13 @@ class DensityMatrix:
 
     @classmethod
     def _framed(cls, alpha: complex, core: np.ndarray, spectrum=None) -> "DensityMatrix":
-        """The state Q C Q+ around a read-only copy of `core`, which keeps its
-        dtype, in the frame Q = diag(e^{i phi n}) of a displacement by
-        alpha = r e^{i phi}. A builder that knows the spectrum passes it, and
-        it is kept, read-only, as `spectrum`.
+        """The state Q C Q+ around `core`, which keeps its dtype and is taken
+        over, made read-only and not copied, in the frame Q = diag(e^{i phi n})
+        of a displacement by alpha = r e^{i phi}. A builder that knows the
+        spectrum passes it, and it is kept, read-only, as `spectrum`.
         """
         rho = cls.__new__(cls)
-        core = np.array(core)
+        core = np.asarray(core)
         core.setflags(write=False)
         object.__setattr__(rho, "_alpha", complex(alpha))
         object.__setattr__(rho, "_core", core)
@@ -96,7 +100,7 @@ class DensityMatrix:
         return rho
 
     def _with_core(self, core: np.ndarray) -> "DensityMatrix":
-        """The state around a copy of `core` in this state's frame."""
+        """The state around `core`, which it takes (`_framed`), in this state's frame."""
         return DensityMatrix._framed(self._alpha, core)
 
     @functools.cached_property
@@ -127,14 +131,22 @@ class DensityMatrix:
         A state built with its spectrum (`_framed`) carries it; otherwise an
         exactly diagonal core (thermal and mixed states) skips the solver, and
         any other core, which has the state's eigenvalues because Q is
-        unitary, is diagonalized. `validate` and `von_neumann_entropy` read this.
+        unitary, is diagonalized. Both read the core as Hermitian, so one
+        further from it than `_SPECTRUM_HERM_TOL` raises NotAStateError.
+        `validate` and `von_neumann_entropy` read this.
         """
         mat = self._core
         diagonal = np.diagonal(mat)
         if np.count_nonzero(mat) == np.count_nonzero(diagonal):
+            herm_dev = _asymmetry(diagonal)  # d - d* = 2i Im d on the diagonal
             evals = np.sort(diagonal.real)
         else:
+            herm_dev = _asymmetry(mat)
             evals = np.linalg.eigvalsh(mat)
+        if not herm_dev <= _SPECTRUM_HERM_TOL:
+            raise NotAStateError(
+                f"spectrum of a non-Hermitian matrix: max deviation {herm_dev:.3e}"
+            )
         evals.setflags(write=False)
         return evals
 
@@ -147,13 +159,8 @@ class DensityMatrix:
     ) -> "DensityMatrix":
         """Check the invariant triple; return self or raise NotAStateError."""
         # Q C Q+ with Q diagonal unitary deviates from Hermitian exactly as C,
-        # element by element, so the core is checked. A real core's deviation
-        # takes its modulus in place: past about 128 KB (d ~ 128) each d x d
-        # temporary comes from fresh pages, which cost more than the check.
-        mat = self._core
-        dev = mat - mat.conj().T
-        dev = np.abs(dev) if np.iscomplexobj(dev) else np.abs(dev, out=dev)
-        herm_dev = float(dev.max())
+        # element by element, so the core is checked.
+        herm_dev = _asymmetry(self._core)
         if not herm_dev <= herm_tol:
             raise NotAStateError(
                 f"not Hermitian: max deviation {herm_dev:.3e} > {herm_tol:.1e}"
@@ -169,6 +176,15 @@ class DensityMatrix:
                 f"not positive semidefinite: min eigenvalue {min_eig:.3e} < -{psd_tol:.1e}"
             )
         return self
+
+
+def _asymmetry(mat: np.ndarray) -> float:
+    """max |M - M+| over the entries. A real deviation takes its modulus in
+    place: past about 128 KB (d ~ 128) each d x d temporary comes from fresh
+    pages, which cost more than the check."""
+    dev = mat - mat.conj().T
+    dev = np.abs(dev) if np.iscomplexobj(dev) else np.abs(dev, out=dev)
+    return float(dev.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,15 +303,41 @@ def _lost_weight(mass: np.ndarray) -> float:
     return max(0.0, float(1.0 - mass[0] - np.sum(mass[1:])))
 
 
-def _poisson_tail_bound(x: float, dim: int) -> float:
-    """Chernoff bound e^{-x} (e x / dim)^dim on the weight a Poisson mass of
-    mean x puts at n >= dim, for 0 < x < dim; 1 elsewhere, which bounds any
-    weight. An x that underflows to 0 at a nonzero amplitude thus takes the
-    exact sum, never log(0).
+def _poisson_tail_bound(x: float, dim: int, n_th: float = 0.0) -> float:
+    """Chernoff bound G(z) z^{-dim} on the weight D(alpha) thermal(n_th) D+(alpha),
+    x = |alpha|^2, puts at n >= dim, with G(z) = e^{x w / u} / u, w = z - 1 and
+    u = 1 - n_th w the photon number's generating function, 1 < z < 1 + 1 / n_th.
+
+    z is its minimizer, the smaller root of (dim + 1) m^2 z^2 + dim (1 + m)^2
+    = ((2 dim + 1) m (1 + m) + x) z, m = n_th (z = dim / x, e^{-x} (e x / dim)^dim
+    at n_th = 0). It is 1, which bounds any weight, where x + n_th >= dim or the
+    bound is no double below 1, so x = 0 at n_th = 0 takes the exact weight.
     """
-    if not 0.0 < x < dim:
+    if not 0.0 < x + n_th < dim:
         return 1.0
-    return math.exp(dim * (1.0 + math.log(x) - math.log(dim)) - x)
+    p = n_th * (1.0 + n_th)
+    root = math.hypot(p + x, 2.0 * math.sqrt(dim * p * x))
+    z = 2.0 * dim * (1.0 + n_th) ** 2 / ((2 * dim + 1) * p + x + root)
+    u = 1.0 - n_th * (z - 1.0)
+    log_bound = x * (z - 1.0) / u - math.log(u) - dim * math.log(z) if u > 0.0 else 0.0
+    return math.exp(log_bound) if log_bound < 0.0 else 1.0
+
+
+def _displaced_thermal_loss(x: float, n_th: float, dim: int) -> float:
+    """Weight D(alpha) thermal(n_th) D+(alpha), x = |alpha|^2, puts at n >= dim:
+    P(n) = e^{-x / (1 + n_th)} q_n / (1 + n_th), q_n = r^n L_n(-x / (n_th r)) the
+    dominant, so stably stepped, solution of (n + 1) q_{n+1} = (r (2n + 1) + c) q_n
+    - r^2 n q_{n-1}, r = n_th / (1 + n_th), c = x / (1 + n_th)^2. Exact powers of
+    2 keep the running sum in [1/2, 1), so no term overflows."""
+    ratio = n_th / (1.0 + n_th)
+    c = x / (1.0 + n_th) / (1.0 + n_th)
+    prev, q, total, exponent = 0.0, 1.0, 1.0, 0
+    for n in range(1, dim):
+        prev, q = q, ((ratio * (2 * n - 1) + c) * q - ratio * ratio * (n - 1) * prev) / n
+        total, scale = math.frexp(total + q)
+        prev, q, exponent = math.ldexp(prev, -scale), math.ldexp(q, -scale), exponent + scale
+    log_kept = math.log(total) + exponent * math.log(2.0) - x / (1.0 + n_th) - math.log1p(n_th)
+    return max(0.0, -math.expm1(log_kept))
 
 
 def _check_truncation(
@@ -315,11 +357,12 @@ def _check_truncation(
     `_displaced_thermal_dim(alpha, n_th)` of the state being built. The label
     is formatted only when the report fires.
 
-    With `exact`, `loss` is an O(1) upper bound on the weight and `exact()`
-    forms the weight itself, which the report then compares and names: it is
-    formed only when the bound exceeds half the tolerance. That half covers
-    the rounding of the formed weight (about dim * eps), so the screen
-    silences no report the exact weight alone would fire.
+    With `exact`, as from each built state's `_check_displacement`, `loss` is
+    an O(1) upper bound on the weight and `exact()` forms the weight itself,
+    which the report then compares and names: it is formed only when the
+    bound exceeds half the tolerance. That half covers the rounding of the
+    formed weight (about dim * eps), so the screen silences no report the
+    exact weight alone would fire.
     """
     estimates = ((loss, 1.0),) if exact is None else ((loss, 0.5), (exact, 1.0))
     for estimate, share in estimates:
@@ -341,12 +384,19 @@ def _check_truncation(
 
 
 def _check_displacement(alpha: complex, dim: int, n_th: float) -> None:
-    # The report on the weight a displacement by alpha moves past the cutoff,
-    # the Poisson tail of |alpha|^2, screened by its O(1) bound.
+    # The one report on the weight D(alpha) thermal(n_th) D+(alpha) puts at
+    # n >= dim, screened by its O(1) bound: the thermal tail r^dim at alpha = 0,
+    # the Poisson tail of |alpha|^2 at n_th = 0, and otherwise the recurrence.
     x = abs(alpha) ** 2
+    if not alpha:
+        what, exact = "thermal state with {1:.4g} photons", lambda: (n_th / (1.0 + n_th)) ** dim
+    elif not n_th:
+        what, exact = "displacement by {0}", lambda: _lost_weight(_poisson_mass(x, dim))
+    else:
+        what = "thermal state with {1:.4g} photons displaced by {0}"
+        exact = lambda: _displaced_thermal_loss(x, n_th, dim)
     _check_truncation(
-        "displacement by {}", _poisson_tail_bound(x, dim), dim, alpha, n_th, args=(alpha,),
-        exact=lambda: _lost_weight(_poisson_mass(x, dim)),
+        what, _poisson_tail_bound(x, dim, n_th), dim, alpha, n_th, args=(alpha, n_th), exact=exact
     )
 
 
@@ -487,17 +537,13 @@ def projector(state: StateVector) -> DensityMatrix:
 def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMatrix:
     """D(alpha) thermal(n_th) D+(alpha), renormalized after truncation; validated.
 
-    The thermal weights w_n = n_th^n / (1 + n_th)^{n+1} are formed once; a
-    TruncationWarning is emitted when their dropped tail, or the weight the
-    displacement moves past the cutoff, exceeds COHERENT_LOSS_TOL, and
-    suggests the state's `_displaced_thermal_dim(alpha, n_th)`. These reports
-    are per component: the displaced state itself can lose more weight than
-    either (1.05e-3 at alpha = 3, n_th = 0.5, dim = 27, where both are silent),
-    which only `analytic.to_density_matrix`'s dimension warning catches. The
-    displacement's report sums the Poisson mass of |alpha|^2 only when its
-    O(1) Chernoff bound does not already clear it (`_check_truncation`).
+    One TruncationWarning is emitted when the weight the state itself puts
+    at n >= dim exceeds COHERENT_LOSS_TOL, naming it and suggesting the
+    state's `_displaced_thermal_dim(alpha, n_th)`; that weight is formed only
+    where its O(1) Chernoff bound does not clear it (`_check_displacement`).
 
-    At alpha = 0 the state is the real diagonal core diag(w). Otherwise
+    The thermal weights w_n = n_th^n / (1 + n_th)^{n+1} are formed once. At
+    alpha = 0 the state is the real diagonal core diag(w). Otherwise
     diag(w) commutes with Q', so the state is Q' R Q'+ with the real
     symmetric R = O(r) diag(w) O(r)^T, built in real arithmetic and divided
     by its trace. Only the K weights above eps^2 of the first are kept, so
@@ -512,15 +558,11 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMat
     dim = _check_dim(dim)
     alpha = _check_amplitude(alpha, "displacement")
     n_th = _check_real(n_th, "thermal occupation")
-    ratio = n_th / (1.0 + n_th)
-    _check_truncation(
-        "thermal state with {:.4g} photons", ratio**dim, dim, alpha, n_th, args=(n_th,)
-    )
-    weights = (1.0 / (1.0 + n_th)) * ratio ** np.arange(dim)
+    _check_displacement(alpha, dim, n_th)
+    weights = (1.0 / (1.0 + n_th)) * (n_th / (1.0 + n_th)) ** np.arange(dim)
     weights /= weights.sum()
     if alpha == 0:
         return DensityMatrix._framed(0, np.diag(weights), np.sort(weights)).validate()
-    _check_displacement(alpha, dim, n_th)
     # The weights fall with n, and those below eps^2 of the first move no
     # entry or eigenvalue beyond rounding, so only the first `kept` columns
     # of O(r) are built; leaving the rest out also keeps subnormal products,
@@ -535,12 +577,8 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMat
 
 
 def thermal_state(n_th: float, dim: int) -> DensityMatrix:
-    """Thermal state with mean occupation n_th, renormalized after truncation.
-
-    Diagonal weights n_th^n / (1 + n_th)^{n+1}, the undisplaced case of
-    `displaced_thermal_state`, whose TruncationWarning for the dropped tail
-    suggests `_displaced_thermal_dim(0, n_th)`.
-    """
+    """Thermal state with mean occupation n_th, renormalized after truncation:
+    `displaced_thermal_state` at alpha = 0, with its truncation report."""
     return displaced_thermal_state(0, n_th, dim)
 
 
@@ -596,7 +634,7 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     q1, q2 = (_displacement_phases(rho._alpha, rho.dim) for rho in (rho1, rho2))
     matched = np.max(np.abs(q1 - q2)) <= _PHASE_MATCH_TOL * rho1.dim
     diff = rho1._core - rho2._core if matched else rho1.entries - rho2.entries
-    herm_dev = float(np.max(np.abs(diff - diff.conj().T)))
+    herm_dev = _asymmetry(diff)
     if not herm_dev <= 2.0 * HERMITICITY_TOL:
         raise NotAStateError(
             f"trace distance of a non-Hermitian difference: max deviation {herm_dev:.3e}"

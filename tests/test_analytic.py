@@ -145,16 +145,23 @@ class TestToDensityMatrix:
             to_density_matrix(state, 12)
 
     def test_warns_where_each_component_report_is_silent(self):
-        # The thermal tail (1.3e-13) and the displacement's loss (9.6e-7) each
-        # stay below COHERENT_LOSS_TOL, so `displaced_thermal_state` is silent,
-        # yet the state puts 1.05e-3 of its weight beyond level 26.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", TruncationWarning)
-            fock.displaced_thermal_state(3.0, 0.5, 27)
+        # The thermal tail (1.3e-13) and the displacement's Poisson loss
+        # (9.6e-7) each stay below COHERENT_LOSS_TOL, yet the state puts
+        # 1.05e-3 of its weight beyond level 26: that weight is the one report,
+        # from `displaced_thermal_state` and `to_density_matrix` alike.
         wide = fock.displaced_thermal_state(3.0, 0.5, 400)
-        assert float(np.sum(np.diagonal(wide.entries).real[27:])) > 1e-3
-        with pytest.warns(TruncationWarning, match="dim=27 is below the suggested 56"):
-            to_density_matrix(GaussianChannelState(3.0, 0.5), 27)
+        assert float(np.sum(np.diagonal(wide._core)[27:])) > 1e-3
+        message = (
+            "thermal state with 0.5 photons displaced by (3+0j) loses weight 1.053e-03 "
+            "at dim=27; suggest dim >= 56"
+        )
+        for build in (
+            lambda: fock.displaced_thermal_state(3.0, 0.5, 27),
+            lambda: to_density_matrix(GaussianChannelState(3.0, 0.5), 27),
+        ):
+            with pytest.warns(TruncationWarning) as record:
+                build()
+            assert [str(w.message) for w in record] == [message]
 
     @staticmethod
     def _expm_sandwich(state, dim):

@@ -39,7 +39,7 @@ from bmc import (
     trace_distance,
     von_neumann_entropy,
 )
-from bmc import analytic, fock
+from bmc import analytic, fock, lindblad
 from oracles import expm_displacement, ladder_operators, thermal_entropy_by_summation
 
 
@@ -274,7 +274,7 @@ class TestDisplacedThermalState:
             assert np.array_equal(built, thermal_state(n_th, 80).entries), n_th
 
     def test_warns_when_truncated(self):
-        with pytest.warns(TruncationWarning, match="displacement by"):
+        with pytest.warns(TruncationWarning, match=r"^thermal state with 0\.1 photons displaced by"):
             fock.displaced_thermal_state(3.0, 0.1, 12)
 
 
@@ -579,11 +579,36 @@ class TestSpectrum:
         assert np.array_equal(rho.spectrum, solve(rho.entries))
 
     @pytest.mark.parametrize(
+        "entries, deviation",
+        [
+            (np.diag([0.5 + 0.3j, 0.5]), r"6\.000e-01"),
+            ([[0.5, 0.2 + 0.1j], [0.2 + 0.1j, 0.5]], r"2\.000e-01"),
+        ],
+        ids=["diagonal", "off-diagonal"],
+    )
+    def test_the_spectrum_refuses_a_non_hermitian_core(self, entries, deviation):
+        # both were read as Hermitian: the real diagonal gave 1.0 bit, one
+        # triangle 0.850 bits
+        with pytest.raises(NotAStateError, match=f"non-Hermitian matrix: max deviation {deviation}"):
+            von_neumann_entropy(DensityMatrix(entries))
+
+    def test_the_spectrum_reads_any_core_evolve_accepts(self):
+        # a deviation of 5e-11 passes `evolve`'s Hermiticity check, so its
+        # spectrum is read as well
+        assert fock._SPECTRUM_HERM_TOL >= lindblad._EVOLVE_HERM_TOL
+        mat = np.array(projector(coherent_state(0.5, 20)).entries)
+        mat[0, 1] += 5e-11
+        rho = DensityMatrix(mat)
+        assert von_neumann_entropy(rho) < 1e-9
+        out = bmc.evolve(rho, bmc.ChannelParams(gamma=0.1, beta_rate=0.01), 0.5)
+        assert von_neumann_entropy(out) > 0.0
+
+    @pytest.mark.parametrize(
         "diagonal",
         [
             np.diag(thermal_state(0.7, 40).entries),
             np.array([0.5, 0.1, 0.4, 0.0]),
-            np.array([0.25, 1e-17, 0.75]) + 1e-3j,
+            np.array([0.25, 1e-17, 0.75]) + 1e-11j,
             np.array([1.001, -0.001]),
         ],
     )
@@ -661,8 +686,8 @@ class TestSpectrum:
         rho = DensityMatrix._framed(alpha, real)
         assert np.array_equal(rho.entries, real * np.outer(phases, phases.conj()))
         assert not rho._core.flags.writeable and not rho.entries.flags.writeable
-        real[0, 0] = 99.0  # the caller's array is copied
-        assert rho._core[0, 0] != 99.0
+        # the state takes the caller's array, with no copy, and locks it
+        assert rho._core is real and not real.flags.writeable
 
     def test_framed_entries_are_formed_on_first_read(self):
         rng = np.random.default_rng(5)
@@ -704,8 +729,7 @@ class TestSpectrum:
         real = np.array(framed._core)
         again = framed._with_core(real)
         assert np.array_equal(again.entries, framed.entries) and again._alpha == framed._alpha
-        real[0, 0] = 99.0  # the core is copied
-        assert again._core[0, 0] != 99.0
+        assert again._core is real and not real.flags.writeable  # taken, not copied
 
     def test_phased_real_state_with_asymmetric_real_part_is_not_hermitian(self):
         real = np.diag([0.5, 0.3, 0.2])
@@ -802,13 +826,12 @@ class TestTruncationReport:
                 ["thermal state with 0.5 photons loses weight 1.694e-05 at dim=10; "
                  "suggest dim >= 22"],
             ),
-            # both reports suggest the 56 levels `to_density_matrix` asks for
+            # one report, on the weight the displaced state itself loses
             (
                 lambda: fock.displaced_thermal_state(3.0, 0.5, 10),
                 [
-                    "thermal state with 0.5 photons loses weight 1.694e-05 at dim=10; "
-                    "suggest dim >= 56",
-                    "displacement by (3+0j) loses weight 4.126e-01 at dim=10; suggest dim >= 56",
+                    "thermal state with 0.5 photons displaced by (3+0j) loses weight "
+                    "4.578e-01 at dim=10; suggest dim >= 56",
                 ],
             ),
         ],

@@ -2,11 +2,11 @@
 
 `fock.displaced_thermal_state` builds only the first K columns of the real
 displacement O(r), the ones whose thermal weight is kept, so a state costs
-O(d^2 K) rather than O(d^3). Its displacement report sums the Poisson mass of
-|alpha|^2 only when an O(1) Chernoff bound cannot show that the loss is below
-the tolerance. These tests pin both: the kept columns are those of the full
+O(d^2 K) rather than O(d^3). Its truncation report forms the weight the state
+loses only when an O(1) Chernoff bound cannot show that the loss is below the
+tolerance. These tests pin both: the kept columns are those of the full
 matrix, the screen never silences a report, and on the node set of a Holevo
-quadrature no Poisson mass is summed and 16 columns are built per node.
+quadrature no weight is formed and 16 columns are built per node.
 """
 
 import math
@@ -137,14 +137,20 @@ class TestDisplacementScreen:
 
 def test_holevo_quadrature_nodes_sum_no_poisson_mass_and_keep_16_columns(monkeypatch):
     # The node set of the Holevo quadrature: the reference channel at t = 1,
-    # 16 Gauss-Laguerre nodes over |eta|^2 for n_bar in each quarter of [1, 2]
+    # 16 Gauss-Laguerre nodes over |eta|^2 for n_bar in each quarter of [1, 2].
+    # The bound clears every state, so no exact weight is formed either.
     params = ChannelParams(gamma=0.1, beta_rate=0.01)
     nodes, _ = laggauss(16)
     rng = np.random.default_rng(1)
-    masses, columns = [], []
+    masses, columns, formed = [], [], []
     poisson_mass, real_displacement = fock._poisson_mass, fock._real_displacement
+    displaced_thermal_loss = fock._displaced_thermal_loss
     monkeypatch.setattr(
         fock, "_poisson_mass", lambda x, dim: masses.append(dim) or poisson_mass(x, dim)
+    )
+    monkeypatch.setattr(
+        fock, "_displaced_thermal_loss",
+        lambda x, n_th, dim: formed.append(dim) or displaced_thermal_loss(x, n_th, dim),
     )
     monkeypatch.setattr(
         fock, "_real_displacement",
@@ -157,6 +163,6 @@ def test_holevo_quadrature_nodes_sum_no_poisson_mass_and_keep_16_columns(monkeyp
             state = analytic.evolve_coherent_analytic(eta, params, 1.0)
             dims.append(analytic.suggested_dim(state))
             analytic.to_density_matrix(state, dims[-1])
-    assert masses == []
+    assert masses == [] and formed == []
     assert columns == [16] * 64
     assert min(dims) < 25 and max(dims) > 150

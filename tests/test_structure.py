@@ -16,7 +16,9 @@ hand-rolled guard that let a str or a bool through.
 Every weight lost to truncation is reported by `fock._check_truncation`, the
 one place that compares a loss against `COHERENT_LOSS_TOL`. The report test
 fails when another module names the tolerance, or `fock` compares against it
-a second time: a hand-rolled report again.
+a second time: a hand-rolled report again. The warning test fails when a
+module other than `fock` issues a TruncationWarning itself: a second
+truncation rule.
 
 A state's complex entries are formed only where no core will do: the
 entries test fails when a function other than `trace_distance` (for states
@@ -139,6 +141,33 @@ def test_the_guard_sees_the_loss_tolerance():
     tree = ast.parse(snippet)
     assert _loss_tol_comparisons(tree) == 2
     assert LOSS_TOL in _names(ast.parse("from .fock import COHERENT_LOSS_TOL"))
+
+
+def _truncation_warnings(tree: ast.AST) -> int:
+    """The `warn` calls that name TruncationWarning."""
+    return sum(
+        isinstance(node, ast.Call)
+        and "warn" in _names(node.func)
+        and "TruncationWarning" in _names(node)
+        for node in ast.walk(tree)
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_fock_warns_of_truncation(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _truncation_warnings(tree) == (path.name == "fock.py")
+
+
+def test_the_guard_sees_the_truncation_warnings():
+    # the warning `to_density_matrix` once issued, and two spellings of it
+    snippet = (
+        "warnings.warn(f'dim={dim} is below the suggested {needed}', TruncationWarning)\n"
+        "warn(message, category=errors.TruncationWarning, stacklevel=2)\n"
+        "warnings.warn(message, UserWarning)\n"
+        "raise TruncationError(message)\n"
+    )
+    assert _truncation_warnings(ast.parse(snippet)) == 2
 
 
 # The functions that may form a state's complex entries: a difference of two
