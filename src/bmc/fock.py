@@ -132,8 +132,9 @@ class DensityMatrix:
         exactly diagonal core (thermal and mixed states) skips the solver, and
         any other core, which has the state's eigenvalues because Q is
         unitary, is diagonalized. Both read the core as Hermitian, so one
-        further from it than `_SPECTRUM_HERM_TOL` raises NotAStateError.
-        `validate` and `von_neumann_entropy` read this.
+        further from it than `_SPECTRUM_HERM_TOL` (an O(dim) check of a
+        diagonal, `_herm_dev` otherwise) raises NotAStateError. `validate`
+        and `von_neumann_entropy` read this.
         """
         mat = self._core
         diagonal = np.diagonal(mat)
@@ -141,7 +142,7 @@ class DensityMatrix:
             herm_dev = _asymmetry(diagonal)  # d - d* = 2i Im d on the diagonal
             evals = np.sort(diagonal.real)
         else:
-            herm_dev = _asymmetry(mat)
+            herm_dev = self._herm_dev
             evals = np.linalg.eigvalsh(mat)
         if not herm_dev <= _SPECTRUM_HERM_TOL:
             raise NotAStateError(
@@ -150,6 +151,18 @@ class DensityMatrix:
         evals.setflags(write=False)
         return evals
 
+    @functools.cached_property
+    def _herm_dev(self) -> float:
+        """max |C - C+|, measured once: Q C Q+ with Q diagonal unitary
+        deviates from Hermitian exactly as C, entry by entry."""
+        return _asymmetry(self._core)
+
+    def _check_hermitian(self, herm_tol: float) -> None:
+        if not self._herm_dev <= herm_tol:
+            raise NotAStateError(
+                f"not Hermitian: max deviation {self._herm_dev:.3e} > {herm_tol:.1e}"
+            )
+
     def validate(
         self,
         *,
@@ -157,14 +170,9 @@ class DensityMatrix:
         trace_tol: float = TRACE_TOL,
         psd_tol: float = POSITIVITY_TOL,
     ) -> "DensityMatrix":
-        """Check the invariant triple; return self or raise NotAStateError."""
-        # Q C Q+ with Q diagonal unitary deviates from Hermitian exactly as C,
-        # element by element, so the core is checked.
-        herm_dev = _asymmetry(self._core)
-        if not herm_dev <= herm_tol:
-            raise NotAStateError(
-                f"not Hermitian: max deviation {herm_dev:.3e} > {herm_tol:.1e}"
-            )
+        """Check the invariant triple, Hermiticity by the state's one `_herm_dev`;
+        return self or raise NotAStateError."""
+        self._check_hermitian(herm_tol)
         trace_dev = abs(self.trace() - 1.0)
         if not trace_dev <= trace_tol:
             raise NotAStateError(
@@ -618,13 +626,13 @@ def fidelity_with_coherent(rho: DensityMatrix, eta: complex) -> float:
 def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """Half the trace norm of rho1 - rho2.
 
-    When the phases q1, q2 of the two frames agree to within
-    dim * _PHASE_MATCH_TOL (two identity frames always do), this is half the
-    trace norm of the difference of the cores, C1 - C2, and otherwise of the
-    entries. With Q1 = Q2 diag(delta) the first differs from the exact value
-    by at most max |delta_n - 1| ||C1||_1 = max |q1_n - q2_n| (||C1||_1 = 1
-    for a state): the phase mismatch, the same order as the round-off of the
-    complex difference of the entries. The solver reads one triangle, so a
+    The difference is read in the first state's frame Q1: it has the
+    eigenvalues, and entry by entry the deviation from Hermitian, of
+    Q1+ (rho1 - rho2) Q1 = C1 - outer(delta, delta*) C2, delta = q1* q2 for
+    the frames' phases q1, q2. Where these agree to within dim * _PHASE_MATCH_TOL
+    (two identity frames always do) delta is read as 1, off the exact value by
+    at most max |q1_n - q2_n| (||C2||_1 = 1 for a state), the order of the
+    round-off of a complex difference. The solver reads one triangle, so a
     difference not Hermitian to 2 * HERMITICITY_TOL raises NotAStateError.
     """
     if rho1.dim != rho2.dim:
@@ -633,7 +641,8 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
         )
     q1, q2 = (_displacement_phases(rho._alpha, rho.dim) for rho in (rho1, rho2))
     matched = np.max(np.abs(q1 - q2)) <= _PHASE_MATCH_TOL * rho1.dim
-    diff = rho1._core - rho2._core if matched else rho1.entries - rho2.entries
+    delta = q1.conj() * q2
+    diff = rho1._core - (rho2._core if matched else np.outer(delta, delta.conj()) * rho2._core)
     herm_dev = _asymmetry(diff)
     if not herm_dev <= 2.0 * HERMITICITY_TOL:
         raise NotAStateError(

@@ -1,16 +1,12 @@
 """Master-equation propagation of a damped bosonic mode in a thermal reservoir.
 
 The generator maps each band rho_{m,m+k} of a density matrix to itself, and
-band -k is the conjugate of band k, so the integrator steps only the
-d(d+1)/2 entries of the bands k >= 0, stored one band after another
-(`_bands`). The generator is applied to them as three shifted multiply-adds,
-O(d^2) per evaluation (the superoperator is never materialized), and
-integrated in the interaction picture, so there is no free-Hamiltonian
-commutator term. `evolve_trajectory` integrates once from
-t = 0 through every sample time in one adaptive Dormand-Prince 5(4) loop at
-fixed tolerances, which counts its right-hand-side evaluations and checks
-every accepted step in place. The generator L is linear, so a step is its
-stability polynomial, summed over the powers (hL)^k y.
+band -k is the conjugate of band k, so it acts only on the d(d+1)/2 entries
+of the bands k >= 0 of a state's core, stored one band after another
+(`_bands`, `_pack`), as three shifted multiply-adds: O(d^2) per evaluation,
+in the interaction picture (no free-Hamiltonian commutator term). That one
+generator path gives `lindblad_rhs` and every derivative `evolve_trajectory`
+takes, in its one adaptive Dormand-Prince 5(4) loop through all sample times.
 """
 
 from __future__ import annotations
@@ -169,20 +165,15 @@ def _generator(dim: int, params: ChannelParams):
 
 
 def lindblad_rhs(rho: DensityMatrix, params: ChannelParams) -> DensityMatrix:
-    """Right-hand side d(rho)/dt of the reservoir master equation.
-
-    Any square matrix is accepted: the band generator steps the upper bands
-    of rho and those of its transpose, which are rho's lower bands. The
-    result is traceless (exactly, by cyclicity of the truncated trace)
-    and Hermitian for Hermitian input; it is a derivative, not a state.
+    """Right-hand side d(rho)/dt of the reservoir master equation, in rho's frame:
+    `evolve_trajectory`'s first k1, unpacked into an exactly Hermitian core
+    (real for a real core). A core further than _EVOLVE_HERM_TOL from
+    Hermitian, the integrator's bound on its input, raises NotAStateError.
+    The result is traceless (exactly, by cyclicity of the truncated trace);
+    it is a derivative, not a state.
     """
-    upper, mirror = _bands(rho.dim)
-    f = _generator(rho.dim, params)
-    flat = rho.entries.reshape(-1)
-    out = np.empty_like(flat)
-    out[mirror] = f(flat[mirror])  # the upper bands of the transpose
-    out[upper] = f(flat[upper])
-    return DensityMatrix(out.reshape(rho.dim, rho.dim))
+    rho._check_hermitian(_EVOLVE_HERM_TOL)
+    return rho._with_core(_unpack(_generator(rho.dim, params)(_pack(rho._core)), rho.dim))
 
 
 # Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 19 (1980)) on a linear L, from its tableau:

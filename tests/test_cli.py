@@ -373,6 +373,21 @@ def test_validation_forms_no_entries(monkeypatch):
     assert formed == [12]
 
 
+def test_hermiticity_is_measured_once_per_state(monkeypatch):
+    # validate and the spectrum read one `_herm_dev` per state, so each
+    # integrated state takes one d x d pass, not two (84 passes before)
+    shapes = []
+    measure = fock._asymmetry
+    monkeypatch.setattr(fock, "_asymmetry", lambda mat: shapes.append(mat.shape) or measure(mat))
+    report = run_validation(REF)
+    assert all(report.point_passed)
+    assert len(shapes) <= 69
+    # a diagonal core keeps its O(dim) check: no d x d pass
+    shapes.clear()
+    DensityMatrix(np.diag([0.2, 0.5, 0.3])).spectrum
+    assert shapes == [(3,)]
+
+
 class TestSharedParser:
     def test_sequence_matches_fresh_parser(self, tmp_path, capsys, monkeypatch):
         # main parses with one parser built at import; a run must not leak

@@ -469,6 +469,42 @@ class TestTraceDistance:
         assert dtypes == [np.complex128, np.complex128]
 
 
+    @staticmethod
+    def _mismatched_pair(alpha1, alpha2, n_th, dim):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            return fock.displaced_thermal_state(alpha1, n_th, dim), fock._coherent_projector(alpha2, dim)[0]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        r1=st.floats(0.1, 4.0),
+        r2=st.floats(0.1, 4.0),
+        phi1=st.floats(-math.pi, math.pi),
+        turn=st.floats(0.01, 2.0 * math.pi - 0.01),
+        n_th=st.floats(0.0, 2.0),
+        dim=st.integers(2, 40),
+    )
+    def test_mismatched_frames_agree_with_the_entries(self, r1, r2, phi1, turn, n_th, dim):
+        # the difference is read in the first frame, C1 - outer(delta, delta*) C2
+        rho1, rho2 = self._mismatched_pair(
+            r1 * np.exp(1j * phi1), r2 * np.exp(1j * (phi1 + turn)), n_th, dim
+        )
+        expected = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho1.entries - rho2.entries)))
+        assert abs(trace_distance(rho1, rho2) - expected) <= 1e-14
+        assert abs(trace_distance(rho2, rho1) - expected) <= 1e-14
+
+    def test_mismatched_frames_form_no_entries(self, monkeypatch):
+        formed = []
+        form = DensityMatrix.entries.func
+        counted = functools.cached_property(lambda rho: formed.append(rho.dim) or form(rho))
+        counted.__set_name__(DensityMatrix, "entries")
+        monkeypatch.setattr(DensityMatrix, "entries", counted)
+        rho1, rho2 = self._mismatched_pair(1.0 + 0.2j, 1.0 - 0.2j, 0.1, 30)
+        plain = projector(coherent_state(0.8 - 0.6j, 30))
+        assert trace_distance(rho1, rho2) > 0.1
+        assert trace_distance(rho2, plain) > 0.1
+        assert formed == []
+
     @pytest.mark.parametrize(
         "build",
         [

@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 from fractions import Fraction
@@ -15,6 +16,7 @@ from bmc import (
     DensityMatrix,
     InvalidParameterError,
     InvalidTimeError,
+    NotAStateError,
     StiffnessError,
     TruncationError,
     TruncationWarning,
@@ -35,7 +37,7 @@ from bmc import (
     trace_distance,
     von_neumann_entropy,
 )
-from bmc import cli, lindblad
+from bmc import cli, fock, lindblad
 from bmc.fock import _coherent_amplitudes, _coherent_projector
 from oracles import (
     dense_lindblad_rhs,
@@ -197,7 +199,9 @@ class TestExactHermiticity:
 class TestFlatShift:
     """The loss and gain terms shift each band by one entry; their weights
     vanish where such a shift would reach into the next band. At dim = 7,
-    (3, 6) ends band 3 and (6, 3) ends band 3 of the transpose."""
+    (3, 6) ends band 3 and (6, 3) ends band 3 of the transpose. Each input is
+    a Hermitian pair, z at the entry and z* at its mirror, so the stencil is
+    the union of both entries' stencils."""
 
     @pytest.mark.parametrize("entry", [(3, 6), (0, 6), (6, 0), (6, 3)])
     @pytest.mark.parametrize("params", GENERATOR_PARAMS, ids=["loss", "thermal"])
@@ -206,14 +210,91 @@ class TestFlatShift:
         j, k = entry
         x = np.zeros((dim, dim), dtype=complex)
         x[j, k] = 0.7 - 0.2j
+        x[k, j] = 0.7 + 0.2j
         got = lindblad_rhs(DensityMatrix(x), params).entries
         stencil = np.zeros((dim, dim), dtype=bool)
-        for dm, dn in [(0, 0), (-1, -1), (1, 1)]:
-            if 0 <= j + dm < dim and 0 <= k + dn < dim:
-                stencil[j + dm, k + dn] = True
+        for m, n in [(j, k), (k, j)]:
+            for dm, dn in [(0, 0), (-1, -1), (1, 1)]:
+                if 0 <= m + dm < dim and 0 <= n + dn < dim:
+                    stencil[m + dm, n + dn] = True
         assert np.all(got[~stencil] == 0.0)
         reference = dense_lindblad_rhs(x, params)
         assert np.max(np.abs(got - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
+def _term_scale(x, params):
+    """The dense generator's terms summed in modulus, entry by entry: the
+    size of d(rho)/dt were none of its terms to cancel."""
+    a, adag = ladder_operators(x.shape[0])
+    gamma, n_res = params.gamma, params.reservoir_photons
+    drift = (0.5 * gamma) * ((n_res + 1.0) * (adag @ a) + n_res * (a @ adag))
+    r = np.abs(x)
+    return drift @ r + r @ drift + gamma * ((n_res + 1.0) * (a @ r @ adag) + n_res * (adag @ r @ a))
+
+
+class TestRhsPath:
+    """`lindblad_rhs` is the integrator's first derivative: the band generator
+    on the packed core, unpacked in the state's frame."""
+
+    @staticmethod
+    def _framed_states(alpha, n_th, dim):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            return (
+                thermal_state(n_th, dim),
+                fock.displaced_thermal_state(alpha, n_th, dim),
+                _coherent_projector(alpha, dim)[0],
+            )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        alpha=st.complex_numbers(max_magnitude=4.0),
+        n_th=st.floats(0.0, 2.0),
+        dim=st.integers(2, 40),
+        gamma=st.floats(0.01, 2.0),
+        beta_rate=st.floats(0.0, 1.0),
+    )
+    def test_framed_inputs_match_the_dense_products(self, alpha, n_th, dim, gamma, beta_rate):
+        # Near the steady state the terms cancel, so the difference is bounded
+        # by 1e-14 of the largest sum of their moduli (8.3e-16 is the worst seen
+        # over 1800 random cases), not of the largest entry of the result.
+        params = ChannelParams(gamma=gamma, beta_rate=beta_rate)
+        for rho in self._framed_states(alpha, n_th, dim):
+            reference = dense_lindblad_rhs(rho.entries, params)
+            got = lindblad_rhs(rho, params).entries
+            scale = np.max(_term_scale(rho.entries, params))
+            assert np.max(np.abs(got - reference)) <= 1e-14 * scale
+
+    def test_the_result_keeps_the_frame_and_a_real_core(self):
+        framed = fock.displaced_thermal_state(0.8 + 0.3j, 0.2, 30)
+        for rho in (framed, thermal_state(0.2, 30), _coherent_projector(-1.1j, 30)[0]):
+            drho = lindblad_rhs(rho, REF)
+            assert drho._alpha == rho._alpha
+            assert drho._core.dtype == np.float64
+            assert np.array_equal(drho._core, drho._core.T)
+        plain = projector(coherent_state(0.8 + 0.3j, 30))
+        drho = lindblad_rhs(plain, REF)
+        assert drho._alpha == 0 and drho._core.dtype == np.complex128
+
+    def test_it_refuses_what_evolve_refuses(self):
+        mat = np.array(projector(coherent_state(0.5, 20)).entries)
+        mat[0, 1] += 5e-11
+        lindblad_rhs(DensityMatrix(mat), REF)
+        evolve(DensityMatrix(mat), REF, 0.5)
+        mat[0, 1] += 1e-9 - 5e-11
+        for step in (lindblad_rhs, lambda rho, params: evolve(rho, params, 0.5)):
+            with pytest.raises(NotAStateError, match=r"not Hermitian: max deviation 1\.000e-09"):
+                step(DensityMatrix(mat), REF)
+
+    def test_forms_no_entries(self, monkeypatch):
+        formed = []
+        form = DensityMatrix.entries.func
+        counted = functools.cached_property(lambda rho: formed.append(rho.dim) or form(rho))
+        counted.__set_name__(DensityMatrix, "entries")
+        monkeypatch.setattr(DensityMatrix, "entries", counted)
+        for rho in (*self._framed_states(1.0 - 0.5j, 0.1, 30), projector(coherent_state(0.5j, 30))):
+            lindblad_rhs(rho, REF)
+        assert formed == []
 
 
 class TestEvolve:

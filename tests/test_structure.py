@@ -20,9 +20,10 @@ a second time: a hand-rolled report again. The warning test fails when a
 module other than `fock` issues a TruncationWarning itself: a second
 truncation rule.
 
-A state's complex entries are formed only where no core will do: the
-entries test fails when a function other than `trace_distance` (for states
-in mismatched frames) and `lindblad_rhs` reads `.entries`.
+A state is read through its core everywhere: `trace_distance` compares two
+frames by their cores and `lindblad_rhs` steps the packed core, so the
+entries test fails when any function in the package reads `.entries`, which
+is formed only for callers outside it.
 
 The channel is the thermal attenuator: `ChannelParams` has no field beyond
 the decay rate, the thermal noise rate and the ensemble's mean photon number.
@@ -170,11 +171,6 @@ def test_the_guard_sees_the_truncation_warnings():
     assert _truncation_warnings(ast.parse(snippet)) == 2
 
 
-# The functions that may form a state's complex entries: a difference of two
-# states in mismatched frames, and the full-matrix generator.
-ENTRIES_READERS = {"trace_distance", "lindblad_rhs"}
-
-
 def _entries_readers(tree: ast.AST) -> set[str]:
     return {
         func.name
@@ -185,11 +181,11 @@ def _entries_readers(tree: ast.AST) -> set[str]:
     }
 
 
-def test_only_two_functions_read_the_entries():
+def test_no_function_reads_the_entries():
     found = set()
     for path in SRC.glob("*.py"):
         found |= _entries_readers(ast.parse(path.read_text(), filename=str(path)))
-    assert found == ENTRIES_READERS
+    assert found == set()
 
 
 def test_the_guard_sees_the_entries_readers():
