@@ -214,13 +214,9 @@ def run_validation(
         raise InvalidParameterError("validation needs at least one eta and one time")
     trace_tol = fock._check_real(trace_tol, "trace_tol")
     entropy_tol = fock._check_real(entropy_tol, "entropy_tol")
-    inputs = []
     for eta in etas:
-        rho0, loss = fock._coherent_projector(eta, dim)
-        fock._check_truncation(
-            "input |{}>", loss, dim, eta, 0.0, error=TruncationError, args=(eta,)
-        )
-        inputs.append(rho0)
+        fock._check_truncation("input |{0}>", eta, 0.0, dim, TruncationError)
+    inputs = [fock._coherent_projector(eta, dim) for eta in etas]
 
     ordered_times = sorted(set(times))
     exact_entropy = {t: capacity.g_entropy(analytic.beta_t(params, t)) for t in ordered_times}

@@ -13,7 +13,6 @@ import math
 import numbers
 import sys
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,7 +243,7 @@ def number_state(n: int, dim: int) -> StateVector:
 def _check_real(
     value, what: str, error: type[ValueError] = InvalidParameterError, *, positive: bool = False
 ) -> float:
-    """value as a finite float >= 0, or > 0 when `positive` is set.
+    """value as a finite float >= 0 (a -0.0 as 0.0), or > 0 when `positive` is set.
 
     The one reader of a real argument in bmc: every one is a rate,
     occupation, time, tolerance or bound, so none may be negative. Ints and
@@ -256,7 +255,7 @@ def _check_real(
     # `design_sweep` op makes about 1500 of these checks.
     x = value if type(value) is float else float(value) if isinstance(value, float) else math.nan
     if 0.0 < x < math.inf or (x == 0.0 and not positive):
-        return x
+        return x + 0.0  # -0.0 reads as 0.0
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{what} must be a real number, got {value!r}")
     try:
@@ -265,7 +264,7 @@ def _check_real(
         x = math.inf
     if not (math.isfinite(x) and (x > 0.0 if positive else x >= 0.0)):
         raise error(f"{what} must be finite and {'> 0' if positive else '>= 0'}, got {x}")
-    return x
+    return x + 0.0
 
 
 def _check_time(t, what: str = "time", *, positive: bool = False) -> float:
@@ -277,7 +276,7 @@ def _check_amplitude(eta, what: str = "coherent amplitude") -> complex:
         raise InvalidParameterError(f"{what} must be a number, got {eta!r}")
     # |eta|^2 is checked as well: one that overflows would make every
     # Poisson weight NaN and the truncation loss a silent zero.
-    eta = complex(eta)
+    eta = complex(eta) + 0j  # a signed zero part reads as 0.0
     if not math.isfinite(eta.real * eta.real + eta.imag * eta.imag):
         raise InvalidParameterError(f"{what} must be finite, with a finite |eta|^2, got {eta}")
     return eta
@@ -307,10 +306,6 @@ def _poisson_mass(x: float, dim: int) -> np.ndarray:
     return mass
 
 
-def _lost_weight(mass: np.ndarray) -> float:
-    return max(0.0, float(1.0 - mass[0] - np.sum(mass[1:])))
-
-
 def _poisson_tail_bound(x: float, dim: int, n_th: float = 0.0) -> float:
     """Chernoff bound G(z) z^{-dim} on the weight D(alpha) thermal(n_th) D+(alpha),
     x = |alpha|^2, puts at n >= dim, with G(z) = e^{x w / u} / u, w = z - 1 and
@@ -319,7 +314,8 @@ def _poisson_tail_bound(x: float, dim: int, n_th: float = 0.0) -> float:
     z is its minimizer, the smaller root of (dim + 1) m^2 z^2 + dim (1 + m)^2
     = ((2 dim + 1) m (1 + m) + x) z, m = n_th (z = dim / x, e^{-x} (e x / dim)^dim
     at n_th = 0). It is 1, which bounds any weight, where x + n_th >= dim or the
-    bound is no double below 1, so x = 0 at n_th = 0 takes the exact weight.
+    bound is no double below 1, so `_check_truncation`, which screens
+    `_tail_weight` by it, forms the weight of x = 0 at n_th = 0.
     """
     if not 0.0 < x + n_th < dim:
         return 1.0
@@ -348,37 +344,39 @@ def _displaced_thermal_loss(x: float, n_th: float, dim: int) -> float:
     return max(0.0, -math.expm1(log_kept))
 
 
+def _tail_weight(x: float, dim: int, n_th: float = 0.0) -> float:
+    """Weight D(alpha) thermal(n_th) D+(alpha), x = |alpha|^2, puts at n >= dim:
+    the thermal tail r^dim, r = n_th / (1 + n_th), at x = 0, the Poisson tail
+    of x at n_th = 0, and `_displaced_thermal_loss` otherwise."""
+    if not x:
+        return (n_th / (1.0 + n_th)) ** dim
+    if not n_th:
+        mass = _poisson_mass(x, dim)
+        return max(0.0, float(1.0 - mass[0] - np.sum(mass[1:])))
+    return _displaced_thermal_loss(x, n_th, dim)
+
+
 def _check_truncation(
-    what: str,
-    loss: float,
-    dim: int,
-    alpha: complex,
-    n_th: float,
-    error: type | None = None,
-    *,
-    args: tuple = (),
-    exact: Callable[[], float] | None = None,
+    what: str, alpha: complex, n_th: float, dim: int, error: type | None = None
 ) -> None:
     """The one truncation report in bmc: raise `error`, or else warn with a
-    TruncationWarning, when `what.format(*args)` loses weight
-    `loss` > COHERENT_LOSS_TOL at `dim` levels, suggesting the dimension
-    `_displaced_thermal_dim(alpha, n_th)` of the state being built. The label
-    is formatted only when the report fires.
+    TruncationWarning, when the state D(alpha) thermal(n_th) D+(alpha) loses
+    weight `_tail_weight` > COHERENT_LOSS_TOL at `dim` levels, naming it
+    `what.format(alpha, n_th)` and suggesting its `_displaced_thermal_dim`.
+    The label is formatted only when the report fires.
 
-    With `exact`, as from each built state's `_check_displacement`, `loss` is
-    an O(1) upper bound on the weight and `exact()` forms the weight itself,
-    which the report then compares and names: it is formed only when the
-    bound exceeds half the tolerance. That half covers the rounding of the
-    formed weight (about dim * eps), so the screen silences no report the
-    exact weight alone would fire.
+    The weight is formed only where its O(1) bound `_poisson_tail_bound`
+    exceeds half the tolerance. That half covers the rounding of the formed
+    weight (about dim * eps), so the screen silences no report the weight
+    alone would fire.
     """
-    estimates = ((loss, 1.0),) if exact is None else ((loss, 0.5), (exact, 1.0))
-    for estimate, share in estimates:
-        loss = estimate() if callable(estimate) else estimate
+    x = abs(complex(alpha)) ** 2  # alpha may be the caller's own number, as its label names it
+    for estimate, share in ((_poisson_tail_bound, 0.5), (_tail_weight, 1.0)):
+        loss = estimate(x, dim, n_th)
         if not loss > share * COHERENT_LOSS_TOL:
             return
     message = (
-        f"{what.format(*args)} loses weight {loss:.3e} at dim={dim}; "
+        f"{what.format(alpha, n_th)} loses weight {loss:.3e} at dim={dim}; "
         f"suggest dim >= {_displaced_thermal_dim(alpha, n_th)}"
     )
     if error is not None:
@@ -391,48 +389,29 @@ def _check_truncation(
     warnings.warn(message, TruncationWarning, stacklevel=level)
 
 
-def _check_displacement(alpha: complex, dim: int, n_th: float) -> None:
-    # The one report on the weight D(alpha) thermal(n_th) D+(alpha) puts at
-    # n >= dim, screened by its O(1) bound: the thermal tail r^dim at alpha = 0,
-    # the Poisson tail of |alpha|^2 at n_th = 0, and otherwise the recurrence.
-    x = abs(alpha) ** 2
-    if not alpha:
-        what, exact = "thermal state with {1:.4g} photons", lambda: (n_th / (1.0 + n_th)) ** dim
-    elif not n_th:
-        what, exact = "displacement by {0}", lambda: _lost_weight(_poisson_mass(x, dim))
-    else:
-        what = "thermal state with {1:.4g} photons displaced by {0}"
-        exact = lambda: _displaced_thermal_loss(x, n_th, dim)
-    _check_truncation(
-        what, _poisson_tail_bound(x, dim, n_th), dim, alpha, n_th, args=(alpha, n_th), exact=exact
-    )
-
-
-def _coherent_amplitudes(eta: complex, dim: int) -> tuple[np.ndarray, float]:
-    # c_n = sqrt(p_n) e^{i n phi} for eta = |eta| e^{i phi}, and the weight the
-    # same Poisson mass leaves beyond the cutoff.
+def _coherent_amplitudes(eta: complex, dim: int) -> np.ndarray:
+    # c_n = sqrt(p_n) e^{i n phi} for eta = |eta| e^{i phi}
     eta = _check_amplitude(eta)
-    mass = _poisson_mass(abs(eta) ** 2, dim)
-    return np.sqrt(mass) * _displacement_phases(eta, dim), _lost_weight(mass)
+    return np.sqrt(_poisson_mass(abs(eta) ** 2, dim)) * _displacement_phases(eta, dim)
 
 
-def _coherent_projector(eta: complex, dim: int) -> tuple[DensityMatrix, float]:
-    # |eta><eta| / <eta|eta> as (phases, outer(r, r) / sum p) with r = sqrt p, and
-    # the weight the same Poisson mass p leaves beyond the cutoff; not validated.
-    # The core has rank one, so its spectrum is passed in, with no eigensolve:
-    # dim - 1 zeros and r.r / sum p.
+def _coherent_projector(eta: complex, dim: int) -> DensityMatrix:
+    # |eta><eta| / <eta|eta> as (phases, outer(r, r) / sum p) with r = sqrt p;
+    # not validated, and its truncation is the caller's to report. The core
+    # has rank one, so its spectrum is passed in, with no eigensolve: dim - 1
+    # zeros and r.r / sum p.
     eta, dim = _check_amplitude(eta), _check_dim(dim)
     mass = _poisson_mass(abs(eta) ** 2, dim)
     root = np.sqrt(mass)
     total = np.sum(mass)
     spectrum = np.zeros(dim)
     spectrum[-1] = (root @ root) / total
-    return DensityMatrix._framed(eta, np.outer(root, root) / total, spectrum), _lost_weight(mass)
+    return DensityMatrix._framed(eta, np.outer(root, root) / total, spectrum)
 
 
 def coherent_truncation_loss(eta: complex, dim: int) -> float:
     """Probability weight of |eta> lost beyond the first `dim` levels."""
-    return _lost_weight(_poisson_mass(abs(_check_amplitude(eta)) ** 2, _check_dim(dim)))
+    return _tail_weight(abs(_check_amplitude(eta)) ** 2, _check_dim(dim))
 
 
 def coherent_state(eta: complex, dim: int) -> StateVector:
@@ -443,9 +422,9 @@ def coherent_state(eta: complex, dim: int) -> StateVector:
     dimension is emitted when it exceeds COHERENT_LOSS_TOL.
     """
     dim = _check_dim(dim)
-    amps, loss = _coherent_amplitudes(eta, dim)
-    _check_truncation("coherent state |{}>", loss, dim, eta, 0.0, args=(eta,))
-    return StateVector(amps, truncation_loss=loss)
+    amps = _coherent_amplitudes(eta, dim)
+    _check_truncation("coherent state |{0}>", eta, 0.0, dim)
+    return StateVector(amps, truncation_loss=coherent_truncation_loss(eta, dim))
 
 
 # Bounded because one basis holds about dim^2 / 2 doubles (0.64 MB at
@@ -529,7 +508,7 @@ def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     alpha = _check_amplitude(alpha, "displacement")
     if alpha == 0:
         return np.eye(dim, dtype=complex)
-    _check_displacement(alpha, dim, 0.0)
+    _check_truncation("displacement by {0}", alpha, 0.0, dim)
     phases = _displacement_phases(alpha, dim)
     return _real_displacement(abs(alpha), dim, dim) * np.outer(phases, phases.conj())
 
@@ -548,7 +527,7 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMat
     One TruncationWarning is emitted when the weight the state itself puts
     at n >= dim exceeds COHERENT_LOSS_TOL, naming it and suggesting the
     state's `_displaced_thermal_dim(alpha, n_th)`; that weight is formed only
-    where its O(1) Chernoff bound does not clear it (`_check_displacement`).
+    where its O(1) Chernoff bound does not clear it (`_check_truncation`).
 
     The thermal weights w_n = n_th^n / (1 + n_th)^{n+1} are formed once. At
     alpha = 0 the state is the real diagonal core diag(w). Otherwise
@@ -566,7 +545,13 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMat
     dim = _check_dim(dim)
     alpha = _check_amplitude(alpha, "displacement")
     n_th = _check_real(n_th, "thermal occupation")
-    _check_displacement(alpha, dim, n_th)
+    if not alpha:
+        what = "thermal state with {1:.4g} photons"
+    elif not n_th:
+        what = "displacement by {0}"
+    else:
+        what = "thermal state with {1:.4g} photons displaced by {0}"
+    _check_truncation(what, alpha, n_th, dim)
     weights = (1.0 / (1.0 + n_th)) * (n_th / (1.0 + n_th)) ** np.arange(dim)
     weights /= weights.sum()
     if alpha == 0:
@@ -611,8 +596,8 @@ def fidelity_with_coherent(rho: DensityMatrix, eta: complex) -> float:
     The imaginary part of the raw matrix element must vanish to 1e-10; a
     larger value means rho is not Hermitian enough to be a state.
     """
-    amps, loss = _coherent_amplitudes(eta, rho.dim)
-    _check_truncation("fidelity with |{}>", loss, rho.dim, eta, 0.0, args=(eta,))
+    amps = _coherent_amplitudes(eta, rho.dim)
+    _check_truncation("fidelity with |{0}>", eta, 0.0, rho.dim)
     # <eta| Q C Q+ |eta> = v+ C v with v = Q+ |eta>
     vec = _displacement_phases(rho._alpha, rho.dim).conj() * amps
     value = complex(np.vdot(vec, rho._core @ vec))

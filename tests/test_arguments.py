@@ -108,6 +108,28 @@ def test_ints_and_numpy_reals_give_the_float_result(call, value):
     assert repr(call(value)) == repr(call(2.0))
 
 
+NON_POSITIVE_REAL_SITES = {
+    name: site[0] for name, site in REAL_SITES.items() if not site[2]
+}
+
+
+@pytest.mark.parametrize("value", [-0.0, np.float64(-0.0), np.float32(-0.0)], ids=repr)
+@pytest.mark.parametrize(
+    "call", NON_POSITIVE_REAL_SITES.values(), ids=list(NON_POSITIVE_REAL_SITES)
+)
+def test_a_negative_zero_real_gives_the_zero_result(call, value):
+    # -0.0 once came back signed and was written as -0 in reports and CSVs
+    assert _outcome(call, value) == _outcome(call, 0.0)
+
+
+def _outcome(call, value):
+    """repr of the result, or the error raised (`SweepSpec.hi` refuses 0 either way)."""
+    try:
+        return repr(call(value))
+    except InvalidParameterError as error:
+        return repr(error)
+
+
 RHO = thermal_state(0.2, 20)
 
 AMPLITUDE_SITES = {
@@ -137,6 +159,14 @@ def test_a_bad_amplitude_raises_the_typed_error(call, value):
 @pytest.mark.parametrize("call", AMPLITUDE_SITES.values(), ids=list(AMPLITUDE_SITES))
 def test_every_number_type_gives_the_complex_result(call, value):
     assert repr(call(value)) == repr(call(1.0 + 0j))
+
+
+@pytest.mark.parametrize(
+    "value", [-0.0, complex(-0.0, -0.0), complex(0.0, -0.0), np.float64(-0.0)], ids=repr
+)
+@pytest.mark.parametrize("call", AMPLITUDE_SITES.values(), ids=list(AMPLITUDE_SITES))
+def test_a_negative_zero_amplitude_gives_the_zero_result(call, value):
+    assert _outcome(call, value) == _outcome(call, 0.0)
 
 
 @pytest.mark.parametrize(

@@ -234,6 +234,22 @@ class TestSweep:
         assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--preset", "fig1", "--t-grid=-0,1"], ["validate", "--etas=-0", "--times=-0,1"]],
+    ids=["sweep", "validate"],
+)
+def test_a_negative_zero_is_written_as_zero(argv, tmp_path, capsys):
+    outputs = []
+    for spelling in (argv, [arg.replace("-0", "0") for arg in argv]):
+        out = tmp_path / "sweep.csv"
+        extra = ["--out", str(out)] if argv[0] == "sweep" else []
+        assert cli.main(spelling + extra) == EXIT_OK
+        written = out.read_bytes() if extra else b""
+        outputs.append((capsys.readouterr().out, written))
+    assert outputs[0] == outputs[1]
+
+
 class TestValidate:
     def test_default_grid_passes(self, capsys):
         # the shipped default grid at dim 50 is the flagship oracle run

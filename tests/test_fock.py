@@ -122,8 +122,9 @@ class TestCoherentState:
             tail = 1 - mpmath.fsum(mass)
             exact = np.array([complex(mpmath.sqrt(p) * mpmath.expj(n * phi)) for n, p in enumerate(mass)])
         assert abs(coherent_truncation_loss(eta, dim) - float(tail)) <= 1e-14
-        amps, loss = fock._coherent_amplitudes(eta, dim)
+        amps = fock._coherent_amplitudes(eta, dim)
         assert np.max(np.abs(amps - exact)) <= 1e-15
+        loss = coherent_truncation_loss(eta, dim)
         assert abs(float(np.sum(np.abs(amps) ** 2)) + loss - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("eta, dim", [(0, 10), (0.5, 20), (1 + 1j, 30), (-2j, 40), (3.0, 12)])
@@ -131,8 +132,7 @@ class TestCoherentState:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             plain = projector(coherent_state(eta, dim))
-        rho, loss = fock._coherent_projector(eta, dim)
-        assert loss == coherent_truncation_loss(eta, dim)
+        rho = fock._coherent_projector(eta, dim)
         assert np.max(np.abs(rho.entries - plain.entries)) <= 1e-15
         assert rho._alpha == complex(eta)
         assert rho._core.dtype == np.float64 and np.array_equal(rho._core, rho._core.T)
@@ -422,7 +422,7 @@ class TestTraceDistance:
         with pytest.raises(DimensionMismatchError):
             trace_distance(thermal_state(0.1, 10), thermal_state(0.1, 12))
         with pytest.raises(DimensionMismatchError):
-            trace_distance(fock._coherent_projector(0.5, 10)[0], fock._coherent_projector(0.5, 12)[0])
+            trace_distance(fock._coherent_projector(0.5, 10), fock._coherent_projector(0.5, 12))
 
     @staticmethod
     def _solver_dtypes(monkeypatch):
@@ -439,7 +439,7 @@ class TestTraceDistance:
         # a coherent input and a closed-form output along the same direction:
         # their phases agree up to round-off
         dim = 40
-        rho1, _ = fock._coherent_projector(eta, dim)
+        rho1 = fock._coherent_projector(eta, dim)
         rho2 = fock.displaced_thermal_state(eta * shrink, n_th, dim)
         mismatch = float(np.max(np.abs(
             fock._displacement_phases(rho1._alpha, dim) - fock._displacement_phases(rho2._alpha, dim)
@@ -452,8 +452,8 @@ class TestTraceDistance:
 
     def test_different_phases_take_the_complex_route(self, monkeypatch):
         # pure coherent states: 1 - |<a|b>|^2 = 1 - exp(-|a - b|^2)
-        rho1, _ = fock._coherent_projector(1.0 + 0.2j, 30)
-        rho2, _ = fock._coherent_projector(1.0 - 0.2j, 30)
+        rho1 = fock._coherent_projector(1.0 + 0.2j, 30)
+        rho2 = fock._coherent_projector(1.0 - 0.2j, 30)
         dtypes = self._solver_dtypes(monkeypatch)
         assert trace_distance(rho1, rho2) == pytest.approx(
             math.sqrt(-math.expm1(-0.16)), abs=1e-12
@@ -461,7 +461,7 @@ class TestTraceDistance:
         assert dtypes == [np.complex128]
 
     def test_states_without_a_real_part_take_the_complex_route(self, monkeypatch):
-        rho, _ = fock._coherent_projector(0.8 - 0.6j, 30)
+        rho = fock._coherent_projector(0.8 - 0.6j, 30)
         plain = projector(coherent_state(0.8 - 0.6j, 30))
         dtypes = self._solver_dtypes(monkeypatch)
         assert trace_distance(rho, plain) <= 1e-15
@@ -473,7 +473,7 @@ class TestTraceDistance:
     def _mismatched_pair(alpha1, alpha2, n_th, dim):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            return fock.displaced_thermal_state(alpha1, n_th, dim), fock._coherent_projector(alpha2, dim)[0]
+            return fock.displaced_thermal_state(alpha1, n_th, dim), fock._coherent_projector(alpha2, dim)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -517,7 +517,7 @@ class TestTraceDistance:
                 DensityMatrix._framed(np.exp(0.7j), np.eye(2) / 2),
             ),
             # frames that do not match: the entries are compared
-            lambda: (DensityMatrix([[0.5, 0.5], [0.0, 0.5]]), fock._coherent_projector(0.5j, 2)[0]),
+            lambda: (DensityMatrix([[0.5, 0.5], [0.0, 0.5]]), fock._coherent_projector(0.5j, 2)),
         ],
         ids=["identity-frames", "one-frame", "different-frames"],
     )
@@ -533,7 +533,7 @@ class TestTraceDistance:
         # phases are all 1: C1 - C2 equals the entries' difference bit for bit
         dim = 20
         plain = projector(coherent_state(eta, dim))
-        framed, _ = fock._coherent_projector(eta, dim)
+        framed = fock._coherent_projector(eta, dim)
         thermal = thermal_state(0.3, dim)
         for rho1, rho2 in [(plain, framed), (thermal, plain), (framed, thermal)]:
             expected = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho1.entries - rho2.entries)))
@@ -681,7 +681,7 @@ class TestSpectrum:
 
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigvalsh", no_solver)
-            rho, _ = fock._coherent_projector(eta, dim)
+            rho = fock._coherent_projector(eta, dim)
             rho.validate()
             von_neumann_entropy(rho)
         assert not rho.spectrum.flags.writeable
@@ -761,7 +761,7 @@ class TestSpectrum:
         assert rho._core is rho.entries and rho._alpha == 0
         moved = rho._with_core(np.diag(np.arange(8.0)))
         assert moved._alpha == 0 and moved.entries.dtype == np.complex128
-        framed, _ = fock._coherent_projector(0.5 - 0.5j, 8)
+        framed = fock._coherent_projector(0.5 - 0.5j, 8)
         real = np.array(framed._core)
         again = framed._with_core(real)
         assert np.array_equal(again.entries, framed.entries) and again._alpha == framed._alpha
@@ -800,7 +800,7 @@ class TestReadersReadTheCore:
             warnings.simplefilter("ignore", TruncationWarning)
             framed = fock.displaced_thermal_state(alpha, n_th, dim)
             given = DensityMatrix(fock.displaced_thermal_state(alpha, n_th, dim).entries)
-            projected, _ = fock._coherent_projector(alpha, dim)
+            projected = fock._coherent_projector(alpha, dim)
             thermal = thermal_state(n_th, dim)
         return framed, projected, thermal, given
 
@@ -832,7 +832,7 @@ class TestReadersReadTheCore:
         # Each reader sums terms that may cancel, so it is compared to 1e-15
         # of the sum of their moduli, which is the value where none cancel;
         # `tiny` admits the coarser rounding of subnormal values.
-        amps, _ = fock._coherent_amplitudes(eta, dim)
+        amps = fock._coherent_amplitudes(eta, dim)
         levels, tiny = np.arange(dim), 1e-300
         for rho, (mean, field, fidelity) in zip(states, read):
             mat = rho.entries
@@ -879,25 +879,29 @@ class TestTruncationReport:
             build()
         assert [str(w.message) for w in record] == messages
 
-    def test_reports_a_loss_above_the_tolerance_only(self):
+    def test_reports_a_loss_above_the_tolerance_only(self, monkeypatch):
+        # the bound lets every weight through, and the weight is set by hand
+        weight = [fock.COHERENT_LOSS_TOL]
+        monkeypatch.setattr(fock, "_poisson_tail_bound", lambda x, dim, n_th: 1.0)
+        monkeypatch.setattr(fock, "_tail_weight", lambda x, dim, n_th: weight[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
-            fock._check_truncation("state", fock.COHERENT_LOSS_TOL, 10, 0.0, 0.0)
-        above = math.nextafter(fock.COHERENT_LOSS_TOL, 1.0)
+            fock._check_truncation("state", 0.0, 0.0, 10)
+        weight[0] = math.nextafter(fock.COHERENT_LOSS_TOL, 1.0)
         with pytest.warns(TruncationWarning, match="state loses weight"):
-            fock._check_truncation("state", above, 10, 0.0, 0.0)
+            fock._check_truncation("state", 0.0, 0.0, 10)
         with pytest.raises(ValueError, match=r"^state loses weight 1\.000e-06 at dim=10; suggest"):
-            fock._check_truncation("state", above, 10, 0.0, 0.0, error=ValueError)
+            fock._check_truncation("state", 0.0, 0.0, 10, ValueError)
 
     def test_the_label_is_formatted_only_when_the_report_fires(self):
-        class Unformattable:
+        class Unformattable(complex):
             def __format__(self, spec):
                 raise AssertionError("a label no report uses was formatted")
 
-        unused = Unformattable()
-        fock._check_truncation("state {}", fock.COHERENT_LOSS_TOL, 10, 0.0, 0.0, args=(unused,))
+        # |0.5> loses 1e-14 at 10 levels, a thermal state with 0.5 photons 1.7e-5
+        fock._check_truncation("state {0}", Unformattable(0.5), 0.0, 10)
         with pytest.warns(TruncationWarning, match=r"^state with 0\.5 photons loses weight"):
-            fock._check_truncation("state with {:.4g} photons", 1.0, 10, 0.0, 0.0, args=(0.5,))
+            fock._check_truncation("state with {1:.4g} photons", 0.0, 0.5, 10)
 
     @pytest.mark.parametrize(
         "build",

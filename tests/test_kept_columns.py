@@ -11,6 +11,7 @@ quadrature no weight is formed and 16 columns are built per node.
 
 import math
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -21,13 +22,23 @@ from numpy.polynomial.laguerre import laggauss
 
 from bmc import (
     ChannelParams,
+    TruncationError,
     TruncationWarning,
     analytic,
+    cli,
+    coherent_state,
     coherent_truncation_loss,
     displacement_operator,
     fock,
+    lindblad,
 )
 from bmc.fock import COHERENT_LOSS_TOL
+
+REF = ChannelParams(gamma=0.1, beta_rate=0.01)
+
+
+class _Integrated(Exception):
+    """Raised in place of integrating a trajectory."""
 
 
 class TestKeptColumns:
@@ -84,21 +95,36 @@ class TestDisplacementScreen:
         loss = coherent_truncation_loss(alpha, dim)
         # the bound is on the exact tail; the summed loss carries about dim * eps
         assert fock._poisson_tail_bound(abs(alpha) ** 2, dim) >= loss - dim * np.finfo(float).eps
-        for build in (
-            lambda: displacement_operator(alpha, dim),
-            lambda: fock.displaced_thermal_state(alpha, 0.0, dim),
+        fires = loss > COHERENT_LOSS_TOL
+        report = (
+            f" loses weight {loss:.3e} at dim={dim}; "
+            f"suggest dim >= {fock._displaced_thermal_dim(alpha, 0.0)}"
+        )
+        vacuum = fock.thermal_state(0.0, dim)
+        built = {}
+        for label, build in (
+            (f"displacement by {complex(alpha)}", lambda: displacement_operator(alpha, dim)),
+            (
+                f"displacement by {complex(alpha)}",
+                lambda: fock.displaced_thermal_state(alpha, 0.0, dim),
+            ),
+            (f"coherent state |{alpha}>", lambda: coherent_state(alpha, dim)),
+            (f"fidelity with |{alpha}>", lambda: fock.fidelity_with_coherent(vacuum, alpha)),
         ):
             with warnings.catch_warnings(record=True) as record:
                 warnings.simplefilter("always", TruncationWarning)
-                build()
+                built[label] = build()
             fired = [str(w.message) for w in record if w.category is TruncationWarning]
-            if loss > COHERENT_LOSS_TOL:
-                assert fired == [
-                    f"displacement by {complex(alpha)} loses weight {loss:.3e} at dim={dim}; "
-                    f"suggest dim >= {fock._displaced_thermal_dim(alpha, 0.0)}"
-                ]
-            else:
-                assert fired == []
+            assert fired == ([label + report] if fires else [])
+        # the state carries the weight its report names
+        assert built[f"coherent state |{alpha}>"].truncation_loss == loss
+        # the oracle's input check raises where the builders warn; past it the
+        # trajectory would be integrated, which is left out here
+        with mock.patch.object(lindblad, "evolve_trajectory", side_effect=_Integrated):
+            with pytest.raises(TruncationError if fires else _Integrated) as info:
+                cli.run_validation(REF, etas=(alpha,), times=(1.0,), dim=dim)
+        if fires:
+            assert str(info.value) == f"input |{complex(alpha)}>" + report
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 10, 30, 60])
     @pytest.mark.parametrize("share", [1e-300, 1e-6, 0.1, 0.5, 0.9, 0.999])
@@ -114,25 +140,25 @@ class TestDisplacementScreen:
     def test_outside_its_range_the_bound_is_one(self, x, dim):
         assert fock._poisson_tail_bound(x, dim) == 1.0
 
-    def test_the_exact_weight_is_formed_only_past_half_the_tolerance(self):
-        formed = []
-
-        def exact():
-            formed.append(1)
-            return 2.0 * COHERENT_LOSS_TOL
-
+    def test_the_exact_weight_is_formed_only_past_half_the_tolerance(self, monkeypatch):
+        bound, weight, formed = [0.5 * COHERENT_LOSS_TOL], [2.0 * COHERENT_LOSS_TOL], []
+        monkeypatch.setattr(fock, "_poisson_tail_bound", lambda x, dim, n_th: bound[0])
+        monkeypatch.setattr(
+            fock, "_tail_weight", lambda x, dim, n_th: formed.append(dim) or weight[0]
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
-            fock._check_truncation("state", 0.5 * COHERENT_LOSS_TOL, 10, 0.0, 0.0, exact=exact)
+            fock._check_truncation("state", 0.0, 0.0, 10)
         assert formed == []
-        above = math.nextafter(0.5 * COHERENT_LOSS_TOL, 1.0)
+        bound[0] = math.nextafter(0.5 * COHERENT_LOSS_TOL, 1.0)
         with pytest.warns(TruncationWarning, match=r"^state loses weight 2\.000e-06 at dim=10"):
-            fock._check_truncation("state", above, 10, 0.0, 0.0, exact=exact)
-        assert formed == [1]
+            fock._check_truncation("state", 0.0, 0.0, 10)
+        assert formed == [10]
         # the exact weight, not the bound, decides
+        bound[0], weight[0] = 1.0, COHERENT_LOSS_TOL
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
-            fock._check_truncation("state", 1.0, 10, 0.0, 0.0, exact=lambda: COHERENT_LOSS_TOL)
+            fock._check_truncation("state", 0.0, 0.0, 10)
 
 
 def test_holevo_quadrature_nodes_sum_no_poisson_mass_and_keep_16_columns(monkeypatch):

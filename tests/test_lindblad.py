@@ -243,7 +243,7 @@ class TestRhsPath:
             return (
                 thermal_state(n_th, dim),
                 fock.displaced_thermal_state(alpha, n_th, dim),
-                _coherent_projector(alpha, dim)[0],
+                _coherent_projector(alpha, dim),
             )
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -267,7 +267,7 @@ class TestRhsPath:
 
     def test_the_result_keeps_the_frame_and_a_real_core(self):
         framed = fock.displaced_thermal_state(0.8 + 0.3j, 0.2, 30)
-        for rho in (framed, thermal_state(0.2, 30), _coherent_projector(-1.1j, 30)[0]):
+        for rho in (framed, thermal_state(0.2, 30), _coherent_projector(-1.1j, 30)):
             drho = lindblad_rhs(rho, REF)
             assert drho._alpha == rho._alpha
             assert drho._core.dtype == np.float64
@@ -408,7 +408,7 @@ class TestTrajectory:
         # stepping on to t = 2 must leave the state returned for t = 0.5 as it was
         eta = 0.8 + 0.3j
         if route == "real":
-            rho0 = _coherent_projector(eta, 30)[0]
+            rho0 = _coherent_projector(eta, 30)
         else:
             rho0 = projector(coherent_state(eta, 30))
         early = evolve_trajectory(rho0, REF, [0.5, 2.0])[0][1]
@@ -454,7 +454,7 @@ class TestFailureModes:
     def test_trace_deficient_input_raises_truncation_error(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            amps, _ = _coherent_amplitudes(2.0, 5)
+            amps = _coherent_amplitudes(2.0, 5)
         leaky = DensityMatrix(np.outer(amps, amps.conj()))  # trace well below 1
         with pytest.raises(TruncationError, match="trace drifted"):
             evolve(leaky, REF, 1.0)
@@ -527,7 +527,7 @@ class TestRealRoute:
         params = ChannelParams(gamma=gamma, beta_rate=gamma * n_res)
         eta = radius * complex(math.cos(phi), math.sin(phi))
         times = sorted(g / gamma for g in gamma_times)
-        real_input, _ = _coherent_projector(eta, dim)
+        real_input = _coherent_projector(eta, dim)
         real, real_evals = _counted(real_input, params, times)
         plain, plain_evals = _counted(projector(coherent_state(eta, dim)), params, times)
         assert real_evals == plain_evals
@@ -549,7 +549,7 @@ class TestRealRoute:
         params = ChannelParams(gamma=1.0, beta_rate=0.5)
         dim = 30
         for eta, t in ((0.92 * complex(math.cos(0.4), math.sin(0.4)), 4.74), (0j, 2.0)):
-            real, real_evals = _counted(_coherent_projector(eta, dim)[0], params, [t])
+            real, real_evals = _counted(_coherent_projector(eta, dim), params, [t])
             plain, plain_evals = _counted(projector(coherent_state(eta, dim)), params, [t])
             exact = to_density_matrix(evolve_coherent_analytic(eta, params, t), dim)
             if eta == 0:
@@ -559,7 +559,7 @@ class TestRealRoute:
             assert trace_distance(real[0][1], exact) <= 1e-9
 
     def test_outputs_keep_the_input_phases(self):
-        rho0, _ = _coherent_projector(1.0 - 0.5j, 30)
+        rho0 = _coherent_projector(1.0 - 0.5j, 30)
         for _, state in evolve_trajectory(rho0, REF, [0.5, 3.0]):
             assert state._alpha == rho0._alpha
             assert state._core.dtype == np.float64
@@ -590,7 +590,7 @@ class TestLandingStep:
         times = sorted(set(cli.DEFAULT_TIMES))
         evals = {}
         for eta in cli.DEFAULT_ETAS:
-            rho0, _ = _coherent_projector(eta, cli.DEFAULT_DIM)
+            rho0 = _coherent_projector(eta, cli.DEFAULT_DIM)
             evals[eta] = _counted(rho0, REF, times)[1]
         assert evals[0.5 + 0j] < self.BEFORE[0.5 + 0j]
         for eta, before in self.BEFORE.items():
@@ -612,7 +612,7 @@ class TestValidateGridWork:
         caplog.set_level(logging.DEBUG, logger="bmc")
         times = sorted(set(cli.DEFAULT_TIMES))
         for eta in cli.DEFAULT_ETAS:
-            evolve_trajectory(_coherent_projector(eta, cli.DEFAULT_DIM)[0], REF, times)
+            evolve_trajectory(_coherent_projector(eta, cli.DEFAULT_DIM), REF, times)
         work = {}
         for eta, record in zip(cli.DEFAULT_ETAS, caplog.records):
             route, dim, evals, accepted, rejected = record.args
@@ -630,7 +630,7 @@ class TestLargerDimensionWork:
     )
     def test_work_is_unchanged(self, dim, work, caplog):
         caplog.set_level(logging.DEBUG, logger="bmc")
-        evolve(_coherent_projector(1.5, dim)[0], REF, 20.0)
+        evolve(_coherent_projector(1.5, dim), REF, 20.0)
         (record,) = caplog.records
         assert record.args == (work[0], dim, *work[1:])
 
@@ -650,7 +650,7 @@ class TestStabilityPolynomial:
 class TestDiagnostics:
     def test_one_debug_record_per_trajectory(self, caplog):
         caplog.set_level(logging.DEBUG, logger="bmc")
-        rho0, _ = _coherent_projector(0.5, 30)
+        rho0 = _coherent_projector(0.5, 30)
         _, evals = _counted(rho0, REF, [0.1, 1.0, 5.0])
         _counted(projector(number_state(1, 12)), REF, [1.0])
         real, plain = caplog.records
@@ -664,7 +664,7 @@ class TestDiagnostics:
         assert logging.getLogger("bmc").handlers == []
 
     def test_silent_at_the_default_level(self, caplog):
-        evolve(_coherent_projector(0.5, 20)[0], REF, 1.0)
+        evolve(_coherent_projector(0.5, 20), REF, 1.0)
         assert not [r for r in caplog.records if r.name == "bmc"]
 
 
@@ -686,7 +686,7 @@ class TestFiniteOrTypedError:
             warnings.simplefilter("ignore", TruncationWarning)
             try:
                 if real_input:
-                    rho0 = _coherent_projector(eta, dim)[0]
+                    rho0 = _coherent_projector(eta, dim)
                 else:
                     rho0 = projector(coherent_state(eta, dim))
                 trajectory = evolve_trajectory(rho0, params, times)

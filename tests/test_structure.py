@@ -13,12 +13,17 @@ Every public number and amplitude is read through `fock._check_real`,
 function applies `float()` or `complex()` to one of its own parameters, the
 hand-rolled guard that let a str or a bool through.
 
-Every weight lost to truncation is reported by `fock._check_truncation`, the
-one place that compares a loss against `COHERENT_LOSS_TOL`. The report test
-fails when another module names the tolerance, or `fock` compares against it
-a second time: a hand-rolled report again. The warning test fails when a
-module other than `fock` issues a TruncationWarning itself: a second
-truncation rule.
+Every weight lost to truncation is reported by
+`fock._check_truncation(what, alpha, n_th, dim, error=None)`, which takes the
+state D(alpha) thermal(n_th) D+(alpha) and forms the weight it loses itself:
+the one place that compares a loss against `COHERENT_LOSS_TOL`. The report
+test fails when another module names the tolerance, or `fock` compares
+against it a second time: a hand-rolled report again. The call test fails
+when a report is handed anything but the state: more than five arguments, a
+keyword other than `error`, or a fourth argument that is not the dimension,
+as in the old calls that passed a loss the caller had formed. The warning
+test fails when a module other than `fock` issues a TruncationWarning
+itself: a second truncation rule.
 
 A state is read through its core everywhere: `trace_distance` compares two
 frames by their cores and `lindblad_rhs` steps the packed core, so the
@@ -142,6 +147,41 @@ def test_the_guard_sees_the_loss_tolerance():
     tree = ast.parse(snippet)
     assert _loss_tol_comparisons(tree) == 2
     assert LOSS_TOL in _names(ast.parse("from .fock import COHERENT_LOSS_TOL"))
+
+
+def _misshapen_reports(tree: ast.AST) -> list[str]:
+    """The `_check_truncation` calls not of the shape (what, alpha, n_th, dim[, error])."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "_check_truncation" in _names(node.func)
+        and (
+            len(node.args) + len(node.keywords) > 5
+            or any(keyword.arg != "error" for keyword in node.keywords)
+            or len(node.args) < 4
+            or "dim" not in _names(node.args[3])
+        )
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_report_takes_the_state(path):
+    assert _misshapen_reports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_guard_sees_the_old_report_shapes():
+    # the calls `run_validation`, `_check_displacement` and `coherent_state` once made
+    old = [
+        "_check_truncation('input |{}>', loss, dim, eta, 0.0, error=TruncationError, args=(eta,))",
+        "_check_truncation(what, bound, dim, alpha, n_th, args=(alpha, n_th), exact=exact)",
+        "_check_truncation('coherent state |{}>', loss, dim, eta, 0.0)",
+    ]
+    new = [
+        "fock._check_truncation('input |{0}>', eta, 0.0, dim, TruncationError)",
+        "_check_truncation('fidelity with |{0}>', eta, 0.0, rho.dim, error=ValueError)",
+    ]
+    assert _misshapen_reports(ast.parse("\n".join(old + new))) == old
 
 
 def _truncation_warnings(tree: ast.AST) -> int:
