@@ -9,7 +9,6 @@ cross-checks every closed form.
 from .analytic import (
     GaussianChannelState,
     beta_t,
-    ensemble_average_state,
     evolve_coherent_analytic,
     to_density_matrix,
 )
@@ -39,14 +38,12 @@ from .fock import (
     DensityMatrix,
     StateVector,
     coherent_state,
-    coherent_truncation_loss,
     displacement_operator,
     fidelity_with_coherent,
     field_amplitude,
     mean_photon_number,
     number_state,
     projector,
-    suggested_dim,
     thermal_state,
     thermal_tail_dim,
     trace_distance,
@@ -82,10 +79,8 @@ __all__ = [
     "capacity_point",
     "channel_capacity",
     "coherent_state",
-    "coherent_truncation_loss",
     "criterion_residual",
     "displacement_operator",
-    "ensemble_average_state",
     "evolve",
     "evolve_coherent_analytic",
     "evolve_trajectory",
@@ -98,7 +93,6 @@ __all__ = [
     "number_state",
     "optimal_nbar",
     "projector",
-    "suggested_dim",
     "thermal_state",
     "thermal_tail_dim",
     "to_density_matrix",

@@ -3,8 +3,8 @@
 A coherent input stays a displaced thermal state under the thermal-loss
 channel, so the exact output is captured by two numbers: the damped
 displacement and the accumulated thermal occupation. This module computes
-those numbers, the Gaussian-ensemble average, and the conversion back to an
-explicit truncated density matrix.
+those numbers, a truncation dimension for them, and the conversion back to
+an explicit truncated density matrix.
 """
 
 from __future__ import annotations
@@ -48,19 +48,6 @@ def evolve_coherent_analytic(
     return GaussianChannelState(
         displacement=fock._check_amplitude(eta) * math.exp(-0.5 * params.gamma * t),
         thermal_photons=beta_t(params, t),
-    )
-
-
-def ensemble_average_state(params: ChannelParams, t: float) -> GaussianChannelState:
-    """Channel output averaged over the Gaussian ensemble of mean n_bar.
-
-    The average has no displacement and thermal occupation
-    beta(t) + n_bar e^{-gamma t}.
-    """
-    t = _check_time(t)
-    return GaussianChannelState(
-        displacement=0j,
-        thermal_photons=beta_t(params, t) + params.n_bar * math.exp(-params.gamma * t),
     )
 
 

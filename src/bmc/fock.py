@@ -351,9 +351,13 @@ def _tail_weight(x: float, dim: int, n_th: float = 0.0) -> float:
     if not x:
         return (n_th / (1.0 + n_th)) ** dim
     if not n_th:
-        mass = _poisson_mass(x, dim)
-        return max(0.0, float(1.0 - mass[0] - np.sum(mass[1:])))
+        return _poisson_loss(_poisson_mass(x, dim))
     return _displaced_thermal_loss(x, n_th, dim)
+
+
+def _poisson_loss(mass: np.ndarray) -> float:
+    # 1 - sum p_n: the weight a Poisson law puts at n >= len(mass), from its first weights p_n
+    return max(0.0, float(1.0 - mass[0] - np.sum(mass[1:])))
 
 
 def _check_truncation(
@@ -409,22 +413,20 @@ def _coherent_projector(eta: complex, dim: int) -> DensityMatrix:
     return DensityMatrix._framed(eta, np.outer(root, root) / total, spectrum)
 
 
-def coherent_truncation_loss(eta: complex, dim: int) -> float:
-    """Probability weight of |eta> lost beyond the first `dim` levels."""
-    return _tail_weight(abs(_check_amplitude(eta)) ** 2, _check_dim(dim))
-
-
 def coherent_state(eta: complex, dim: int) -> StateVector:
     """Coherent state |eta> with amplitudes e^{-|eta|^2/2} eta^n / sqrt(n!).
 
     The amplitudes are not renormalized after truncation; the lost weight is
     reported on the returned state, and a TruncationWarning suggesting a
-    dimension is emitted when it exceeds COHERENT_LOSS_TOL.
+    dimension is emitted when it exceeds COHERENT_LOSS_TOL. One Poisson mass
+    gives both the amplitudes sqrt(p_n) e^{i n phi} and that weight.
     """
     dim = _check_dim(dim)
-    amps = _coherent_amplitudes(eta, dim)
+    amplitude = _check_amplitude(eta)
     _check_truncation("coherent state |{0}>", eta, 0.0, dim)
-    return StateVector(amps, truncation_loss=coherent_truncation_loss(eta, dim))
+    mass = _poisson_mass(abs(amplitude) ** 2, dim)
+    amps = np.sqrt(mass) * _displacement_phases(amplitude, dim)
+    return StateVector(amps, truncation_loss=_poisson_loss(mass))
 
 
 # Bounded because one basis holds about dim^2 / 2 doubles (0.64 MB at
@@ -587,7 +589,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
             f"entropy of a non-positive matrix (min eigenvalue {evals[0]:.3e})"
         )
     evals = evals[evals > _ENTROPY_FLOOR]
-    return float(-np.sum(evals * np.log2(evals)))
+    return 0.0 - float(np.sum(evals * np.log2(evals)))  # a pure state gives 0.0, not -0.0
 
 
 def fidelity_with_coherent(rho: DensityMatrix, eta: complex) -> float:
@@ -656,18 +658,6 @@ def field_amplitude(rho: DensityMatrix) -> complex:
     return complex(step * np.sum(np.sqrt(np.arange(1, rho.dim)) * sub))
 
 
-def suggested_dim(mean_photons: float, variance: float) -> int:
-    """Truncation heuristic: dim >= mean + 8 sqrt(variance + 1) + 10."""
-    mean_photons = _check_real(mean_photons, "mean photon number")
-    variance = _check_real(variance, "photon-number variance")
-    return _moment_dim(mean_photons, math.sqrt(variance + 1.0))
-
-
-def _moment_dim(mean: float, spread: float) -> int:
-    # `suggested_dim` from the mean and spread = sqrt(variance + 1)
-    return max(2, math.ceil(mean + 8.0 * spread + 10.0))
-
-
 def thermal_tail_dim(n_th: float) -> int:
     """Smallest dim whose truncated thermal tail weight is at most 1e-9."""
     n_th = _check_real(n_th, "thermal occupation")
@@ -685,9 +675,9 @@ def thermal_tail_dim(n_th: float) -> int:
 def _displaced_thermal_dim(alpha: complex, n_th: float) -> int:
     """Truncation dimension for D(alpha) thermal(n_th) D+(alpha).
 
-    The larger of `suggested_dim` for its photon-number mean |alpha|^2 + n_th
-    and variance |alpha|^2 (2 n_th + 1) + n_th (n_th + 1), and of
-    `thermal_tail_dim(n_th)`. Coherent states have n_th = 0, undisplaced
+    The larger of mean + 8 sqrt(variance + 1) + 10 for its photon-number mean
+    |alpha|^2 + n_th and variance |alpha|^2 (2 n_th + 1) + n_th (n_th + 1), and
+    of `thermal_tail_dim(n_th)`. Coherent states have n_th = 0, undisplaced
     thermal states alpha = 0.
 
     Past about 1.3e154 photons the variance overflows, while the root
@@ -708,4 +698,4 @@ def _displaced_thermal_dim(alpha: complex, n_th: float) -> int:
             f"a displaced thermal state with |alpha|^2 = {alpha_sq} and {n_th} photons "
             "needs a dimension beyond float range"
         )
-    return max(_moment_dim(mean, spread), thermal_tail_dim(n_th))
+    return max(math.ceil(mean + 8.0 * spread + 10.0), thermal_tail_dim(n_th))

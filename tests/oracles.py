@@ -16,6 +16,15 @@ from scipy.linalg import expm
 from bmc import DensityMatrix, InvalidDimensionError, InvalidParameterError, analytic, fock
 
 
+def ensemble_average_state(params, t):
+    """Channel output averaged over the Gaussian ensemble of mean n_bar: no
+    displacement and thermal occupation beta(t) + n_bar e^{-gamma t}, the
+    occupation `bmc.channel_capacity` reads."""
+    return analytic.GaussianChannelState(
+        0j, analytic.beta_t(params, t) + params.n_bar * math.exp(-params.gamma * t)
+    )
+
+
 def gauss_laguerre_ensemble_average(params, t, n_nodes=64, weight_cutoff=1e-16):
     """Radial Gauss-Laguerre average of per-input output states over the
     Gaussian ensemble p(eta) = (1/pi n_bar) exp(-|eta|^2 / n_bar).
@@ -31,7 +40,7 @@ def gauss_laguerre_ensemble_average(params, t, n_nodes=64, weight_cutoff=1e-16):
         analytic.evolve_coherent_analytic(math.sqrt(params.n_bar * u), params, t)
         for u in nodes[keep]
     ]
-    mixture = analytic.ensemble_average_state(params, t)
+    mixture = ensemble_average_state(params, t)
     dim = max(
         max(analytic.suggested_dim(s) for s in radial),
         analytic.suggested_dim(mixture),
@@ -76,10 +85,10 @@ def monte_carlo_ensemble_average(params, t, n_samples, seed):
     alpha = displaced + (
         rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
     ) * math.sqrt(n_th / 2.0)
-    peak = float(np.max(np.abs(alpha)) ** 2)
+    peak = float(np.max(np.abs(alpha)))
     dim = max(
-        fock.suggested_dim(peak, peak),
-        analytic.suggested_dim(analytic.ensemble_average_state(params, t)),
+        fock._displaced_thermal_dim(peak, 0.0),
+        analytic.suggested_dim(ensemble_average_state(params, t)),
     )
     rows = coherent_amplitude_rows(alpha, dim)
     acc = (rows.T @ rows.conj()) / n_samples

@@ -17,7 +17,6 @@ from bmc import (
     beta_t,
     channel_capacity,
     coherent_state,
-    ensemble_average_state,
     evolve,
     evolve_coherent_analytic,
     evolve_trajectory,
@@ -30,7 +29,11 @@ from bmc import (
 )
 from bmc import analytic, cli
 from bmc.capacity import theta_at_nbar
-from oracles import gauss_laguerre_ensemble_average, golden_section_maximize
+from oracles import (
+    ensemble_average_state,
+    gauss_laguerre_ensemble_average,
+    golden_section_maximize,
+)
 
 REF = ChannelParams(gamma=0.1, beta_rate=0.01, n_bar=5.0)
 ETAS = (0.0 + 0.0j, 0.5 + 0.0j, 1.0 + 0.0j, 1.0 + 1.0j)

