@@ -360,28 +360,67 @@ def _poisson_loss(mass: np.ndarray) -> float:
     return max(0.0, float(1.0 - mass[0] - np.sum(mass[1:])))
 
 
-def _check_truncation(
-    what: str, alpha: complex, n_th: float, dim: int, error: type | None = None
-) -> None:
-    """The one truncation report in bmc: raise `error`, or else warn with a
-    TruncationWarning, when the state D(alpha) thermal(n_th) D+(alpha) loses
-    weight `_tail_weight` > COHERENT_LOSS_TOL at `dim` levels, naming it
-    `what.format(alpha, n_th)` and suggesting its `_displaced_thermal_dim`.
-    The label is formatted only when the report fires.
+def _reported_loss(x: float, dim: int, n_th: float) -> float | None:
+    """The weight `_tail_weight` > COHERENT_LOSS_TOL that D(alpha) thermal(n_th)
+    D+(alpha), x = |alpha|^2, loses at `dim` levels, or None where it loses less.
 
     The weight is formed only where its O(1) bound `_poisson_tail_bound`
     exceeds half the tolerance. That half covers the rounding of the formed
     weight (about dim * eps), so the screen silences no report the weight
     alone would fire.
     """
-    x = abs(complex(alpha)) ** 2  # alpha may be the caller's own number, as its label names it
     for estimate, share in ((_poisson_tail_bound, 0.5), (_tail_weight, 1.0)):
         loss = estimate(x, dim, n_th)
         if not loss > share * COHERENT_LOSS_TOL:
-            return
+            return None
+    return loss
+
+
+# Levels past which `_silent_dim` searches no further: a real core of 2^16
+# levels takes 32 GiB, and each weight formed there is a 2^16-term sum.
+_SILENT_DIM_LIMIT = 2**16
+
+
+def _silent_dim(alpha: complex, n_th: float) -> int:
+    """The smallest dim >= `_displaced_thermal_dim(alpha, n_th)` at which
+    D(alpha) thermal(n_th) D+(alpha) makes no report (`_reported_loss`).
+
+    The moment dimension can fall short of a heavy tail: (|alpha|, n_th) =
+    (3, 5) loses 2.65e-6 at its 116 levels and is silent from 124. The
+    search steps 1, 2, 4, ... levels past it until the report is silent, then
+    bisects the last step; the weight falls as dim grows, so that is the
+    first silent dim. Past _SILENT_DIM_LIMIT levels it gives the moment
+    dimension.
+    """
+    x = abs(complex(alpha)) ** 2
+    moment = low = high = _displaced_thermal_dim(alpha, n_th)
+    step = 1
+    while high <= _SILENT_DIM_LIMIT and _reported_loss(x, high, n_th) is not None:
+        low, high, step = high, high + step, 2 * step
+    if high > _SILENT_DIM_LIMIT:
+        return moment
+    while high - low > 1:  # the report fires at low and is silent at high
+        mid = (low + high) // 2
+        low, high = (low, mid) if _reported_loss(x, mid, n_th) is None else (mid, high)
+    return high
+
+
+def _check_truncation(
+    what: str, alpha: complex, n_th: float, dim: int, error: type | None = None
+) -> None:
+    """The one truncation report in bmc: raise `error`, or else warn with a
+    TruncationWarning, when the state D(alpha) thermal(n_th) D+(alpha) loses
+    weight `_reported_loss` at `dim` levels, naming it
+    `what.format(alpha, n_th)` and suggesting its `_silent_dim`. The label
+    and the suggestion are formed only when the report fires.
+    """
+    x = abs(complex(alpha)) ** 2  # alpha may be the caller's own number, as its label names it
+    loss = _reported_loss(x, dim, n_th)
+    if loss is None:
+        return
     message = (
         f"{what.format(alpha, n_th)} loses weight {loss:.3e} at dim={dim}; "
-        f"suggest dim >= {_displaced_thermal_dim(alpha, n_th)}"
+        f"suggest dim >= {_silent_dim(alpha, n_th)}"
     )
     if error is not None:
         raise error(message)
@@ -528,7 +567,7 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMat
 
     One TruncationWarning is emitted when the weight the state itself puts
     at n >= dim exceeds COHERENT_LOSS_TOL, naming it and suggesting the
-    state's `_displaced_thermal_dim(alpha, n_th)`; that weight is formed only
+    smallest dimension at which it is silent (`_silent_dim`); that weight is formed only
     where its O(1) Chernoff bound does not clear it (`_check_truncation`).
 
     The thermal weights w_n = n_th^n / (1 + n_th)^{n+1} are formed once. At

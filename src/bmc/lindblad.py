@@ -7,6 +7,9 @@ of the bands k >= 0 of a state's core, stored one band after another
 in the interaction picture (no free-Hamiltonian commutator term). That one
 generator path gives `lindblad_rhs` and every derivative `evolve_trajectory`
 takes, in its one adaptive Dormand-Prince 5(4) loop through all sample times.
+On this linear generator a step is a polynomial in hL: the loop writes the
+powers (hL)^k y into one buffer and takes the new state and its error
+estimate from them in one product.
 """
 
 from __future__ import annotations
@@ -177,9 +180,14 @@ def lindblad_rhs(rho: DensityMatrix, params: ChannelParams) -> DensityMatrix:
 
 
 # Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 19 (1980)) on a linear L, from its tableau:
-# with p_k = (hL)^k y a step is y1 = y + sum_k R_k p_k, its error sum_k E_k p_k - (h/40) L y1.
-_DP_R = (1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600)
-_DP_E = (1 / 40, 1 / 40, 1 / 80, 1 / 240, 7 / 30000, 1 / 1875)
+# with p_k = (hL)^k y, k = 1 .. 6, a step is y1 = y + sum_k R_k p_k and its error
+# sum_k E_k p_k - (h/40) L y1. The rows of _DP_RE are R and E, so with the p_k as
+# the rows of p, _DP_RE @ p gives y1 - y and sum_k E_k p_k in one product.
+_DP_RE = np.array([
+    (1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600),
+    (1 / 40, 1 / 40, 1 / 80, 1 / 240, 7 / 30000, 1 / 1875),
+])
+_DP_RE.setflags(write=False)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -193,10 +201,10 @@ def _rms(q: np.ndarray, dim: int) -> float:
     return math.sqrt((float(diagonal @ diagonal) + 2.0 * float(upper @ upper)) / (dim * dim))
 
 
-def _error_ratio(err, y_old, y_new, dim):
-    """RMS over the matrix of |err| / (ABS_TOL + REL_TOL max(|y_old|, |y_new|))."""
-    scale = np.abs(y_old)
-    np.maximum(scale, np.abs(y_new), out=scale)
+def _error_ratio(err, abs_old, abs_new, dim):
+    """RMS over the matrix of |err| / (ABS_TOL + REL_TOL max(|y_old|, |y_new|)),
+    from abs_old = |y_old| and abs_new = |y_new|."""
+    scale = np.maximum(abs_old, abs_new)
     scale *= _REL_TOL
     scale += _ABS_TOL
     # |err| / scale, not |err / scale|: a complex / float division rounds
@@ -207,7 +215,7 @@ def _error_ratio(err, y_old, y_new, dim):
 
 
 def _check_trace(y: np.ndarray, dim: int, t: float) -> None:
-    drift = abs(np.sum(y[:dim]) - 1.0)
+    drift = abs(y[:dim].sum() - 1.0)
     if not drift <= TRACE_DRIFT_LIMIT:
         raise TruncationError(
             f"trace drifted by {drift:.3e} at t={t:.6g}; "
@@ -253,8 +261,12 @@ def evolve_trajectory(
     MAX_RHS_EVALS right-hand-side evaluations raises StiffnessError.
 
     A step of size h is y1 = R(hL) y with the stability polynomial
-    R(z) = sum_{k<=5} z^k/k! + z^6/600, made from h k1 and five more
-    right-hand-side evaluations; a sixth gives L y1, the next k1.
+    R(z) = sum_{k<=5} z^k/k! + z^6/600. The powers p_k = (hL)^k y fill the
+    rows of one (6, n) buffer per trajectory, n = d(d+1)/2: p_1 = h k1, then
+    p_{k+1} = h f(p_k), five right-hand-side evaluations. One (2, 6) @ (6, n)
+    product gives y1 - y and the error sum (`_DP_RE`); a sixth evaluation
+    gives L y1, which corrects the error and is the next k1. |y| of the
+    accepted state is kept for the next step's error ratio.
 
     The generator has real coefficients and commutes with the diagonal
     unitary Q of a state's frame, so the integrator steps the core C of
@@ -298,12 +310,17 @@ def evolve_trajectory(
     feeds_photons = params.beta_rate > 0.0
     k1 = f(y)
     evals, accepted, rejected = 1, 0, 0
+    abs_y = np.abs(y)
     # Initial step from the size of the state and its derivative; a state that
     # does not move tries one step to the last sample time.
-    scale = _ABS_TOL + _REL_TOL * np.abs(y)
-    d0 = _rms(np.abs(y) / scale, dim)
+    scale = _ABS_TOL + _REL_TOL * abs_y
+    d0 = _rms(abs_y / scale, dim)
     d1 = _rms(np.abs(k1) / scale, dim)
     h = stops[-1] if (d0 < 1e-8 or d1 < 1e-8) else 0.01 * d0 / d1
+    # Row k - 1 holds p_k = (hL)^k y; a complex route sums real and imaginary
+    # parts in the same real product as the real route.
+    powers = np.empty((6, y.size), dtype=y.dtype)
+    real_powers = powers.view(np.float64)
     t = 0.0
     for t_stop in stops:
         while t < t_stop:
@@ -320,20 +337,21 @@ def evolve_trajectory(
                 )
             final = h >= t_stop - t
             h_try = t_stop - t if final else h
-            p = h_try * k1  # p = (hL)^k y, k = 1 .. 6
-            y_new, err = y + p, _DP_E[0] * p
-            for r, e in zip(_DP_R[1:], _DP_E[1:]):
-                p = h_try * f(p)
-                y_new += r * p
-                err += e * p
+            np.multiply(h_try, k1, out=powers[0])
+            for k in range(1, 6):
+                np.multiply(h_try, f(powers[k - 1]), out=powers[k])
+            step, err = (_DP_RE @ real_powers).view(y.dtype)
+            y_new = y + step
             k_new = f(y_new)
             evals += 6
-            ratio = _error_ratio(err - (h_try / 40) * k_new, y, y_new, dim)
+            err -= (h_try / 40) * k_new
+            abs_new = np.abs(y_new)
+            ratio = _error_ratio(err, abs_y, abs_new, dim)
             ok = math.isfinite(ratio) and ratio <= 1.0
             if ok:
                 accepted += 1
                 t = t_stop if final else t + h_try
-                y = y_new
+                y, abs_y = y_new, abs_new
                 _check_trace(y, dim, t)
                 if feeds_photons:
                     _check_cutoff(y, t, times[-1], rho0, params)

@@ -410,7 +410,27 @@ class TestTrajectory:
             rho0 = _coherent_projector(eta, 30)
         else:
             rho0 = projector(coherent_state(eta, 30))
-        early = evolve_trajectory(rho0, REF, [0.5, 2.0])[0][1]
+        # every array the generator reads or returns: the rows of the powers
+        # buffer, each accepted y1 and each k1 carried over to the next step
+        seen = []
+        generator = lindblad._generator
+
+        def recording_generator(dim, params):
+            f = generator(dim, params)
+
+            def recorded(y):
+                out = f(y)
+                seen.extend((y, out))
+                return out
+
+            return recorded
+
+        with mock.patch.object(lindblad, "_generator", recording_generator):
+            early, late = (state for _, state in evolve_trajectory(rho0, REF, [0.5, 2.0]))
+        assert any(y.base is not None and y.base.shape[0] == 6 for y in seen[::2])
+        for state in (early, late):
+            for array in seen:
+                assert not np.shares_memory(state._core, array)
         alone = evolve_trajectory(rho0, REF, [0.5])[0][1]
         assert np.array_equal(early.entries, alone.entries)
         assert not early.entries.flags.writeable
@@ -641,8 +661,10 @@ class TestStabilityPolynomial:
         # fifth-order Taylor polynomial of e^z, then the tableau's own z^6 term
         assert step[:6] == [1 / Fraction(math.factorial(k)) for k in range(6)]
         assert error[0] == 0
-        assert tuple(map(float, step[1:])) == lindblad._DP_R
-        assert tuple(map(float, error[1:])) == lindblad._DP_E
+        # the rows R and E of the one (2, 6) product that gives y1 - y and
+        # the error sum from the powers
+        assert lindblad._DP_RE.tolist() == [list(map(float, step[1:])), list(map(float, error[1:]))]
+        assert not lindblad._DP_RE.flags.writeable
         # the step subtracts (h/40) f(y1)
         assert error_new == Fraction(-1, 40)
 

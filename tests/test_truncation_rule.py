@@ -9,6 +9,7 @@ tail, the bound against the same tail, and the cases where the old
 per-component reports and the old moment heuristic disagreed with it.
 """
 
+import functools
 import math
 import re
 import warnings
@@ -81,9 +82,8 @@ class TestOneRule:
             else f"thermal state with {n_th:.4g} photons displaced by {alpha}"
         )
         assert fired[0].startswith(f"{label} loses weight ")
-        assert fired[0].endswith(
-            f" at dim={dim}; suggest dim >= {fock._displaced_thermal_dim(alpha, n_th)}"
-        )
+        # the first silent dimension, pinned by TestSilentSuggestion
+        assert fired[0].endswith(f" at dim={dim}; suggest dim >= {fock._silent_dim(alpha, n_th)}")
 
     @pytest.mark.parametrize("n_th", [1e-300, 1e-6, 0.1, 0.5, 2.0, 5.0, 1e300])
     @pytest.mark.parametrize("dim", [2, 3, 10, 30, 60])
@@ -126,3 +126,44 @@ class TestOneRule:
         for alpha, n_th in [(0.0, 0.7), (1.5, 0.0), (1.5 - 0.5j, 0.7)]:
             analytic.to_density_matrix(analytic.GaussianChannelState(alpha, n_th), 60)
         assert len(checks) == 3
+
+
+class TestSilentSuggestion:
+    # The moment dimension `analytic.suggested_dim` falls short of these
+    # heavier tails; the report suggests the first dimension past it at which
+    # it is silent, where the 50-digit tail first drops to COHERENT_LOSS_TOL.
+    PAIRS = [(3.0, 5.0, 116, 124), (5.0, 10.0, 247, 262), (8.0, 30.0, 661, 732),
+             (12.0, 95.52, 1990, 2107)]
+
+    @pytest.mark.parametrize("alpha, n_th, moment, silent", PAIRS)
+    def test_the_suggestion_is_the_first_silent_dim(self, alpha, n_th, moment, silent):
+        state = analytic.GaussianChannelState(alpha, n_th)
+        assert analytic.suggested_dim(state) == moment
+        assert mp_tail(alpha**2, n_th, silent) < COHERENT_LOSS_TOL < mp_tail(alpha**2, n_th, silent - 1)
+        if silent < 1000:
+            build = functools.partial(analytic.to_density_matrix, state)
+        else:
+            # building at 2107 levels takes about a second; it makes this one check
+            build = functools.partial(fock._check_truncation, "state", alpha, n_th)
+        (report,) = _reports(lambda: build(moment))
+        assert report.endswith(f" at dim={moment}; suggest dim >= {silent}")
+        assert _reports(lambda: build(silent)) == []
+        (report,) = _reports(lambda: build(silent - 1))
+        assert report.endswith(f" at dim={silent - 1}; suggest dim >= {silent}")
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        modulus=st.floats(0.0, 12.0),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        n_th=st.floats(0.0, 100.0),
+    )
+    @example(modulus=3.0, phase=0.0, n_th=5.0)
+    @example(modulus=12.0, phase=0.0, n_th=95.52)
+    def test_no_report_fires_at_its_own_suggestion(self, modulus, phase, n_th):
+        alpha = modulus * complex(math.cos(phase), math.sin(phase))
+        fired = _reports(lambda: fock._check_truncation("state", alpha, n_th, 1))
+        if not fired:
+            return  # nothing reportable beyond the vacuum
+        suggested = int(re.search(r"suggest dim >= (\d+)$", fired[0]).group(1))
+        assert suggested >= fock._displaced_thermal_dim(alpha, n_th)
+        assert _reports(lambda: fock._check_truncation("state", alpha, n_th, suggested)) == []
