@@ -52,8 +52,11 @@ def evolve_coherent_analytic(
 
 
 def suggested_dim(state: GaussianChannelState) -> int:
-    """Truncation dimension adequate for both moments and the thermal tail."""
-    return fock._displaced_thermal_dim(state.displacement, state.thermal_photons)
+    """The smallest dimension at which the O(1) bound on the weight the state
+    puts past it is at most 1e-9 (`fock._tail_dim`); the state built there
+    makes no truncation report."""
+    x = abs(state.displacement) ** 2
+    return fock._tail_dim(x, state.thermal_photons, fock._TAIL_WEIGHT)
 
 
 def to_density_matrix(state: GaussianChannelState, dim: int) -> DensityMatrix:

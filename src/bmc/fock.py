@@ -311,19 +311,24 @@ def _poisson_tail_bound(x: float, dim: int, n_th: float = 0.0) -> float:
     x = |alpha|^2, puts at n >= dim, with G(z) = e^{x w / u} / u, w = z - 1 and
     u = 1 - n_th w the photon number's generating function, 1 < z < 1 + 1 / n_th.
 
-    z is its minimizer, the smaller root of (dim + 1) m^2 z^2 + dim (1 + m)^2
-    = ((2 dim + 1) m (1 + m) + x) z, m = n_th (z = dim / x, e^{-x} (e x / dim)^dim
-    at n_th = 0). It is 1, which bounds any weight, where x + n_th >= dim or the
-    bound is no double below 1, so `_check_truncation`, which screens
-    `_tail_weight` by it, forms the weight of x = 0 at n_th = 0.
+    z is its minimizer: w is the smaller root of (dim + 1) m^2 w^2 - B w
+    + dim - m - x = 0, m = n_th and B = m (2 dim + 1 - m) + x (z = dim / x,
+    e^{-x} (e x / dim)^dim at n_th = 0). Over the denominator B plus the root
+    of the discriminant, w and u have numerators that are sums of positive
+    terms, so nothing cancels, however large n_th, and x w / u is formed
+    without w, which overflows as x underflows. The bound is 1, which bounds
+    any weight, where x + n_th >= dim or it is no double below 1, so
+    `_check_truncation`, which screens `_tail_weight` by it, forms the weight
+    of x = 0 at n_th = 0.
     """
     if not 0.0 < x + n_th < dim:
         return 1.0
     p = n_th * (1.0 + n_th)
-    root = math.hypot(p + x, 2.0 * math.sqrt(dim * p * x))
-    z = 2.0 * dim * (1.0 + n_th) ** 2 / ((2 * dim + 1) * p + x + root)
-    u = 1.0 - n_th * (z - 1.0)
-    log_bound = x * (z - 1.0) / u - math.log(u) - dim * math.log(z) if u > 0.0 else 0.0
+    root = math.hypot(p + x, 2.0 * math.sqrt(dim * x) * math.sqrt(p))
+    den = n_th * (2 * dim + 1 - n_th) + x + root
+    gap = 2.0 * (dim - n_th - x)  # w = gap / den
+    num = p + x * (1.0 + 2.0 * n_th) + root  # u = num / den
+    log_bound = x * gap / num + math.log(den / num) - dim * math.log1p(gap / den)
     return math.exp(log_bound) if log_bound < 0.0 else 1.0
 
 
@@ -376,33 +381,39 @@ def _reported_loss(x: float, dim: int, n_th: float) -> float | None:
     return loss
 
 
-# Levels past which `_silent_dim` searches no further: a real core of 2^16
-# levels takes 32 GiB, and each weight formed there is a 2^16-term sum.
-_SILENT_DIM_LIMIT = 2**16
+def _tail_dim(x: float, n_th: float, tol: float) -> int:
+    """The smallest dim >= 2 at which the O(1) bound on the weight D(alpha)
+    thermal(n_th) D+(alpha), x = |alpha|^2, puts at n >= dim is at most `tol`.
 
-
-def _silent_dim(alpha: complex, n_th: float) -> int:
-    """The smallest dim >= `_displaced_thermal_dim(alpha, n_th)` at which
-    D(alpha) thermal(n_th) D+(alpha) makes no report (`_reported_loss`).
-
-    The moment dimension can fall short of a heavy tail: (|alpha|, n_th) =
-    (3, 5) loses 2.65e-6 at its 116 levels and is silent from 124. The
-    search steps 1, 2, 4, ... levels past it until the report is silent, then
-    bisects the last step; the weight falls as dim grows, so that is the
-    first silent dim. Past _SILENT_DIM_LIMIT levels it gives the moment
-    dimension.
+    At x = 0 the bound is that weight itself, r^dim with r = n_th / (1 + n_th),
+    met from dim = -log(tol) / log1p(1 / n_th) on. Otherwise it is
+    `_poisson_tail_bound`, which is 1 up to x + n_th and falls past it: dim
+    doubles from there until the bound meets `tol`, and the last step is
+    bisected. Where no dim within float range meets it, or the bound's terms
+    leave float range first, InvalidParameterError.
     """
-    x = abs(complex(alpha)) ** 2
-    moment = low = high = _displaced_thermal_dim(alpha, n_th)
-    step = 1
-    while high <= _SILENT_DIM_LIMIT and _reported_loss(x, high, n_th) is not None:
-        low, high, step = high, high + step, 2 * step
-    if high > _SILENT_DIM_LIMIT:
-        return moment
-    while high - low > 1:  # the report fires at low and is silent at high
-        mid = (low + high) // 2
-        low, high = (low, mid) if _reported_loss(x, mid, n_th) is None else (mid, high)
-    return high
+    if not x:
+        # log1p(1 / n) stays nonzero where n / (1 + n) rounds to 1.
+        dim = -math.log(tol) / math.log1p(1.0 / n_th) if n_th else 2.0
+        if dim < math.inf:
+            return max(2, math.ceil(dim))
+    else:
+        # 5 dim (1 + n_th) (1 + x) exceeds each sum and product the bound forms
+        # past x + n_th, so below `top` levels every one of them is a double.
+        top = sys.float_info.max / (5.0 * (1.0 + n_th) * (1.0 + x))
+        low = max(1, math.floor(min(x + n_th, top)))  # the bound is 1 up to x + n_th
+        high = low + 1
+        while high < top and _poisson_tail_bound(x, high, n_th) > tol:
+            low, high = high, 2 * high
+        if high < top:
+            while high - low > 1:  # the bound exceeds tol at low and meets it at high
+                mid = (low + high) // 2
+                low, high = (mid, high) if _poisson_tail_bound(x, mid, n_th) > tol else (low, mid)
+            return high
+    raise InvalidParameterError(
+        f"D(alpha) thermal({n_th}) D+(alpha) with |alpha|^2 = {x} "
+        f"cannot be bounded to {tol:.3g} within float range"
+    )
 
 
 def _check_truncation(
@@ -411,8 +422,10 @@ def _check_truncation(
     """The one truncation report in bmc: raise `error`, or else warn with a
     TruncationWarning, when the state D(alpha) thermal(n_th) D+(alpha) loses
     weight `_reported_loss` at `dim` levels, naming it
-    `what.format(alpha, n_th)` and suggesting its `_silent_dim`. The label
-    and the suggestion are formed only when the report fires.
+    `what.format(alpha, n_th)` and suggesting the dimension at which the
+    state's bound meets half the tolerance (`_tail_dim`), where the screen of
+    `_reported_loss` clears it. The label and the suggestion are formed only
+    when the report fires.
     """
     x = abs(complex(alpha)) ** 2  # alpha may be the caller's own number, as its label names it
     loss = _reported_loss(x, dim, n_th)
@@ -420,7 +433,7 @@ def _check_truncation(
         return
     message = (
         f"{what.format(alpha, n_th)} loses weight {loss:.3e} at dim={dim}; "
-        f"suggest dim >= {_silent_dim(alpha, n_th)}"
+        f"suggest dim >= {_tail_dim(x, n_th, 0.5 * COHERENT_LOSS_TOL)}"
     )
     if error is not None:
         raise error(message)
@@ -566,8 +579,8 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityMat
     """D(alpha) thermal(n_th) D+(alpha), renormalized after truncation; validated.
 
     One TruncationWarning is emitted when the weight the state itself puts
-    at n >= dim exceeds COHERENT_LOSS_TOL, naming it and suggesting the
-    smallest dimension at which it is silent (`_silent_dim`); that weight is formed only
+    at n >= dim exceeds COHERENT_LOSS_TOL, naming it and suggesting a
+    dimension at which it is silent (`_tail_dim`); that weight is formed only
     where its O(1) Chernoff bound does not clear it (`_check_truncation`).
 
     The thermal weights w_n = n_th^n / (1 + n_th)^{n+1} are formed once. At
@@ -698,43 +711,6 @@ def field_amplitude(rho: DensityMatrix) -> complex:
 
 
 def thermal_tail_dim(n_th: float) -> int:
-    """Smallest dim whose truncated thermal tail weight is at most 1e-9."""
-    n_th = _check_real(n_th, "thermal occupation")
-    if n_th == 0.0:
-        return 2
-    # (n / (1 + n))^dim <= tail; log1p(1 / n) stays nonzero where n / (1 + n) rounds to 1.
-    dim = -math.log(_TAIL_WEIGHT) / math.log1p(1.0 / n_th)
-    if not math.isfinite(dim):
-        raise InvalidParameterError(
-            f"a thermal state with {n_th} photons needs a dimension beyond float range"
-        )
-    return max(2, math.ceil(dim))
-
-
-def _displaced_thermal_dim(alpha: complex, n_th: float) -> int:
-    """Truncation dimension for D(alpha) thermal(n_th) D+(alpha).
-
-    The larger of mean + 8 sqrt(variance + 1) + 10 for its photon-number mean
-    |alpha|^2 + n_th and variance |alpha|^2 (2 n_th + 1) + n_th (n_th + 1), and
-    of `thermal_tail_dim(n_th)`. Coherent states have n_th = 0, undisplaced
-    thermal states alpha = 0.
-
-    Past about 1.3e154 photons the variance overflows, while the root
-    sqrt(variance + 1) is still a double: it is then formed as the norm of
-    (n_th + 1/2, sqrt(3/4), |alpha| sqrt(2 n_th + 1)), whose squares sum to
-    variance + 1. Where the variance is finite the root is formed from it,
-    so those dimensions are unchanged.
-    """
-    alpha_sq = abs(alpha) ** 2
-    mean = alpha_sq + n_th
-    variance = alpha_sq * (2.0 * n_th + 1.0) + n_th * (n_th + 1.0)
-    if variance < math.inf:
-        spread = math.sqrt(variance + 1.0)
-    else:
-        spread = math.hypot(n_th + 0.5, math.sqrt(0.75), abs(alpha) * math.sqrt(2.0 * n_th + 1.0))
-    if not mean + 8.0 * spread < math.inf:
-        raise InvalidParameterError(
-            f"a displaced thermal state with |alpha|^2 = {alpha_sq} and {n_th} photons "
-            "needs a dimension beyond float range"
-        )
-    return max(math.ceil(mean + 8.0 * spread + 10.0), thermal_tail_dim(n_th))
+    """Smallest dim whose truncated thermal tail weight is at most 1e-9
+    (`_tail_dim` at x = 0)."""
+    return _tail_dim(0.0, _check_real(n_th, "thermal occupation"), _TAIL_WEIGHT)

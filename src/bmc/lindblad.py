@@ -28,7 +28,7 @@ from .errors import (
     TruncationError,
 )
 from .fock import (
-    DensityMatrix, _check_real, _check_time, _displaced_thermal_dim, mean_photon_number
+    DensityMatrix, _check_real, _check_time, _tail_dim, mean_photon_number
 )
 
 _log = logging.getLogger("bmc")
@@ -235,7 +235,9 @@ def _check_cutoff(
             n0 * math.exp(-params.gamma * s) - n_res * math.expm1(-params.gamma * s)
             for s in (t, t_end)
         )
-        needed = _displaced_thermal_dim(0.0, mean)
+        # The top level d - 1 holds at most the weight a thermal state of
+        # that mean puts at n >= d - 1, which the rule keeps to the limit.
+        needed = 1 + _tail_dim(0.0, mean, CUTOFF_POPULATION_LIMIT)
         raise TruncationError(
             f"population {top:.3e} in the top Fock level {rho0.dim - 1} "
             f"at t={t:.6g}; the truncation dimension is insufficient for this evolution "

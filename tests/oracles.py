@@ -87,7 +87,7 @@ def monte_carlo_ensemble_average(params, t, n_samples, seed):
     ) * math.sqrt(n_th / 2.0)
     peak = float(np.max(np.abs(alpha)))
     dim = max(
-        fock._displaced_thermal_dim(peak, 0.0),
+        fock._tail_dim(peak**2, 0.0, fock._TAIL_WEIGHT),
         analytic.suggested_dim(ensemble_average_state(params, t)),
     )
     rows = coherent_amplitude_rows(alpha, dim)

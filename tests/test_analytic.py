@@ -153,7 +153,7 @@ class TestToDensityMatrix:
         assert float(np.sum(np.diagonal(wide._core)[27:])) > 1e-3
         message = (
             "thermal state with 0.5 photons displaced by (3+0j) loses weight 1.053e-03 "
-            "at dim=27; suggest dim >= 56"
+            "at dim=27; suggest dim >= 46"
         )
         for build in (
             lambda: fock.displaced_thermal_state(3.0, 0.5, 27),

@@ -307,8 +307,9 @@ class TestThermalState:
         thermal_state(n_th, 80).validate()
 
     def test_warns_when_the_tail_is_truncated(self):
-        # r^dim = (5/6)^10 = 0.16 of the weight is dropped; the mean reads 3.07
-        with pytest.warns(TruncationWarning, match=f"suggest dim >= {thermal_tail_dim(5.0)}"):
+        # r^dim = (5/6)^10 = 0.16 of the weight is dropped; the mean reads 3.07.
+        # (5/6)^80 = 4.6e-7 meets half the tolerance.
+        with pytest.warns(TruncationWarning, match=r"suggest dim >= 80$"):
             rho = thermal_state(5.0, 10)
         assert mean_photon_number(rho) == pytest.approx(3.07, abs=0.01)
 
@@ -327,12 +328,12 @@ class TestThermalState:
     def test_a_huge_occupation_suggests_a_finite_dimension(self):
         # the photon-number variance n (n + 1) overflows past about 1.3e154
         # photons and used to raise about a variance no caller gave; the
-        # suggested dimension, about 20.7 n, is still a double
+        # suggested dimension, -log(5e-7) n = 14.5 n, is still a double
         with pytest.warns(TruncationWarning) as record:
             thermal_state(1e200, 10)
         (warning,) = record
         needed = int(re.search(r"suggest dim >= (\d+)$", str(warning.message)).group(1))
-        assert needed == thermal_tail_dim(1e200)
+        assert needed == math.ceil(-math.log(0.5 * fock.COHERENT_LOSS_TOL) / math.log1p(1e-200))
         assert math.isfinite(float(needed))
 
 
@@ -869,23 +870,23 @@ class TestTruncationReport:
         [
             (
                 lambda: displacement_operator(3.0, 10),
-                ["displacement by (3+0j) loses weight 4.126e-01 at dim=10; suggest dim >= 45"],
+                ["displacement by (3+0j) loses weight 4.126e-01 at dim=10; suggest dim >= 30"],
             ),
             (
                 lambda: fidelity_with_coherent(thermal_state(0.1, 20), 4.0),
-                ["fidelity with |4.0> loses weight 1.878e-01 at dim=20; suggest dim >= 59"],
+                ["fidelity with |4.0> loses weight 1.878e-01 at dim=20; suggest dim >= 42"],
             ),
             (
                 lambda: thermal_state(0.5, 10),
                 ["thermal state with 0.5 photons loses weight 1.694e-05 at dim=10; "
-                 "suggest dim >= 22"],
+                 "suggest dim >= 14"],
             ),
             # one report, on the weight the displaced state itself loses
             (
                 lambda: fock.displaced_thermal_state(3.0, 0.5, 10),
                 [
                     "thermal state with 0.5 photons displaced by (3+0j) loses weight "
-                    "4.578e-01 at dim=10; suggest dim >= 56",
+                    "4.578e-01 at dim=10; suggest dim >= 46",
                 ],
             ),
         ],
@@ -947,12 +948,6 @@ class TestTruncationReport:
 
 
 class TestTruncationHelpers:
-    def test_suggested_dim_floor(self):
-        # the vacuum and |2>: photon-number mean and variance 0 and 4
-        assert analytic.suggested_dim(analytic.GaussianChannelState(0, 0.0)) == 18
-        coherent = analytic.GaussianChannelState(2, 0.0)
-        assert analytic.suggested_dim(coherent) >= 4 + 8 * math.sqrt(5.0) + 10
-
     def test_thermal_tail_dim_bounds_tail(self):
         n_th = 2.0
         dim = thermal_tail_dim(n_th)
@@ -961,30 +956,40 @@ class TestTruncationHelpers:
 
     @pytest.mark.parametrize("n_th", [0.0, 0.3, 2.0, 1e3, 1e8, 1e15, 1e40, 1e100, 1e150])
     @pytest.mark.parametrize("alpha", [0, 0.5, 3.0 - 4.0j, 1e6, 1e20, 1e70j])
-    def test_displaced_thermal_dim_is_unchanged_where_the_variance_is_finite(self, alpha, n_th):
-        alpha_sq = abs(alpha) ** 2
-        variance = alpha_sq * (2.0 * n_th + 1.0) + n_th * (n_th + 1.0)
-        assert math.isfinite(variance)
-        moments = math.ceil(alpha_sq + n_th + 8.0 * math.sqrt(variance + 1.0) + 10.0)
-        expected = max(moments, thermal_tail_dim(n_th))
-        assert fock._displaced_thermal_dim(alpha, n_th) == expected
+    def test_suggested_dim_across_scales(self, alpha, n_th):
+        # the smallest dim whose bound on the lost weight is at most 1e-9; a
+        # typed error where the bound's terms, up to 5 dim (1 + n_th) (1 + x),
+        # leave float range before it gets there
+        x = abs(alpha) ** 2
+        state = analytic.GaussianChannelState(alpha, n_th)
+        if (1.0 + x) * (1.0 + n_th) * (x + n_th) > 1e305:
+            with pytest.raises(InvalidParameterError, match="within float range"):
+                analytic.suggested_dim(state)
+            return
+        dim = analytic.suggested_dim(state)
+        if not x:
+            assert dim == thermal_tail_dim(n_th)
+        else:
+            bound = functools.partial(fock._poisson_tail_bound, x, n_th=n_th)
+            assert bound(dim) <= 1e-9 < bound(dim - 1)
 
     @pytest.mark.parametrize(
-        "alpha, n_th", [(0, 1e155), (0, 1e200), (2.0, 1e250), (1e100, 1e160), (1e150, 1e10)]
+        "alpha, n_th, finite",
+        [(0, 1e155, True), (0, 1e200, True), (0, 1e308, False), (2.0, 1e250, False),
+         (1e100, 1e160, False), (1e150, 1e10, False), (1.0, 1.34e154, False),
+         (1e154, 1e308, False)],
     )
-    def test_displaced_thermal_dim_past_the_variance_overflow(self, alpha, n_th):
-        with mpmath.workdps(60):
-            a_sq, n = mpmath.mpf(abs(alpha)) ** 2, mpmath.mpf(n_th)
-            assert a_sq * (2 * n + 1) + n * (n + 1) > sys.float_info.max
-            spread = mpmath.sqrt(a_sq * (2 * n + 1) + n * (n + 1) + 1)
-            exact = max(a_sq + n + 8 * spread + 10, mpmath.mpf(thermal_tail_dim(n_th)))
-            dim = fock._displaced_thermal_dim(alpha, n_th)
-            assert math.isfinite(float(dim))
-            assert abs(dim - exact) <= 1e-15 * exact
-
-    def test_displaced_thermal_dim_beyond_float_range(self):
-        with pytest.raises(InvalidParameterError, match="beyond float range"):
-            fock._displaced_thermal_dim(1e154, 1e308)
+    def test_suggested_dim_past_the_variance_overflow(self, alpha, n_th, finite):
+        # the photon-number variance overflows past about 1.3e154 photons; a
+        # thermal state's dimension stays a closed form while it is a double,
+        # and a displaced state's bound has left float range
+        state = analytic.GaussianChannelState(alpha, n_th)
+        if finite:
+            dim = analytic.suggested_dim(state)
+            assert dim == thermal_tail_dim(n_th) and math.isfinite(float(dim))
+        else:
+            with pytest.raises(InvalidParameterError, match="within float range"):
+                analytic.suggested_dim(state)
 
 
 def test_import_leaves_scipy_unloaded():

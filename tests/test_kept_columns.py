@@ -97,7 +97,7 @@ class TestDisplacementScreen:
         fires = loss > COHERENT_LOSS_TOL
         report = (
             f" loses weight {loss:.3e} at dim={dim}; "
-            f"suggest dim >= {fock._displaced_thermal_dim(alpha, 0.0)}"
+            f"suggest dim >= {fock._tail_dim(abs(alpha) ** 2, 0.0, 0.5 * COHERENT_LOSS_TOL)}"
         )
         vacuum = fock.thermal_state(0.0, dim)
         built = {}
@@ -152,10 +152,8 @@ class TestDisplacementScreen:
         bound[0] = math.nextafter(0.5 * COHERENT_LOSS_TOL, 1.0)
         with pytest.warns(TruncationWarning, match=r"^state loses weight 2\.000e-06 at dim=10"):
             fock._check_truncation("state", 0.0, 0.0, 10)
-        # the decision forms it once at dim; the suggestion's search, past the
-        # moment dimension, only after the report fires
-        assert formed[0] == 10
-        assert min(formed[1:]) >= fock._displaced_thermal_dim(0.0, 0.0)
+        # the decision forms it once, at dim; the suggestion reads only bounds
+        assert formed == [10]
         # the exact weight, not the bound, decides
         bound[0], weight[0] = 1.0, COHERENT_LOSS_TOL
         with warnings.catch_warnings():
@@ -163,10 +161,12 @@ class TestDisplacementScreen:
             fock._check_truncation("state", 0.0, 0.0, 10)
 
 
-def test_holevo_quadrature_nodes_sum_no_poisson_mass_and_keep_16_columns(monkeypatch):
+def test_holevo_quadrature_nodes_sum_no_poisson_mass_and_keep_at_most_16_columns(monkeypatch):
     # The node set of the Holevo quadrature: the reference channel at t = 1,
     # 16 Gauss-Laguerre nodes over |eta|^2 for n_bar in each quarter of [1, 2].
-    # The bound clears every state, so no exact weight is formed either.
+    # The bound clears every state, so no exact weight is formed either. A
+    # node keeps the 16 thermal weights above eps^2 of the first, or all of
+    # them where it has fewer levels.
     params = ChannelParams(gamma=0.1, beta_rate=0.01)
     nodes, _ = laggauss(16)
     rng = np.random.default_rng(1)
@@ -192,5 +192,5 @@ def test_holevo_quadrature_nodes_sum_no_poisson_mass_and_keep_16_columns(monkeyp
             dims.append(analytic.suggested_dim(state))
             analytic.to_density_matrix(state, dims[-1])
     assert masses == [] and formed == []
-    assert columns == [16] * 64
-    assert min(dims) < 25 and max(dims) > 150
+    assert columns == [min(16, dim) for dim in dims]
+    assert min(dims) == 8 and max(dims) == 156

@@ -31,7 +31,6 @@ from bmc import (
     number_state,
     projector,
     thermal_state,
-    thermal_tail_dim,
     to_density_matrix,
     trace_distance,
     von_neumann_entropy,
@@ -486,17 +485,30 @@ class TestFailureModes:
 
     def test_cutoff_error_suggests_a_dimension(self):
         # the exact mean at t = 5 is 100 (1 - e^{-5}) = 99.33 photons, whose
-        # thermal tail needs 2069 levels; the error is raised at the first
-        # step that crosses the cutoff limit, long before t = 5
+        # thermal weight at n >= 2299 is at most CUTOFF_POPULATION_LIMIT, so
+        # 2300 levels keep the top one below it; the error is raised at the
+        # first step that crosses the cutoff limit, long before t = 5
         params = ChannelParams(gamma=1.0, beta_rate=100.0)
         mean = 100.0 * -math.expm1(-5.0)
-        spread = math.sqrt(mean * (mean + 1.0) + 1.0)  # sqrt(variance + 1)
-        needed = max(math.ceil(mean + 8.0 * spread + 10.0), thermal_tail_dim(mean))
-        assert needed == 2069
+        needed = 1 + math.ceil(-math.log(lindblad.CUTOFF_POPULATION_LIMIT) / math.log1p(1 / mean))
+        assert needed == 2300
         started = time.perf_counter()
-        with pytest.raises(TruncationError, match=r"to t=5; suggest dim >= 2069$"):
+        with pytest.raises(TruncationError, match=r"to t=5; suggest dim >= 2300$"):
             evolve(projector(number_state(0, 20)), params, 5.0)
         assert time.perf_counter() - started < 30.0
+
+    @pytest.mark.parametrize(
+        "gamma, beta_rate, t, needed",
+        # the moment rule suggested 113, 52 and 113 levels here, at which the
+        # same error was raised again
+        [(1.0, 5.0, 5.0, 127), (1.0, 2.0, 10.0, 58), (0.1, 0.5, 50.0, 127)],
+    )
+    def test_evolving_at_the_suggested_cutoff_is_silent(self, gamma, beta_rate, t, needed):
+        params = ChannelParams(gamma=gamma, beta_rate=beta_rate)
+        with pytest.raises(TruncationError, match=f"suggest dim >= {needed}$"):
+            evolve(projector(number_state(0, 20)), params, t)
+        rho = evolve(projector(number_state(0, needed)), params, t)
+        assert rho.entries[needed - 1, needed - 1].real <= lindblad.CUTOFF_POPULATION_LIMIT
 
     def test_stiff_case_exhausts_the_work_budget(self):
         # stability-limited RK45: about 90 000 evaluations per 0.1 s of channel

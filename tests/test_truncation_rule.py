@@ -82,8 +82,9 @@ class TestOneRule:
             else f"thermal state with {n_th:.4g} photons displaced by {alpha}"
         )
         assert fired[0].startswith(f"{label} loses weight ")
-        # the first silent dimension, pinned by TestSilentSuggestion
-        assert fired[0].endswith(f" at dim={dim}; suggest dim >= {fock._silent_dim(alpha, n_th)}")
+        # the dimension rule at half the tolerance, checked by TestDimensionRule
+        suggested = fock._tail_dim(abs(alpha) ** 2, n_th, 0.5 * COHERENT_LOSS_TOL)
+        assert fired[0].endswith(f" at dim={dim}; suggest dim >= {suggested}")
 
     @pytest.mark.parametrize("n_th", [1e-300, 1e-6, 0.1, 0.5, 2.0, 5.0, 1e300])
     @pytest.mark.parametrize("dim", [2, 3, 10, 30, 60])
@@ -128,28 +129,74 @@ class TestOneRule:
         assert len(checks) == 3
 
 
-class TestSilentSuggestion:
-    # The moment dimension `analytic.suggested_dim` falls short of these
-    # heavier tails; the report suggests the first dimension past it at which
-    # it is silent, where the 50-digit tail first drops to COHERENT_LOSS_TOL.
-    PAIRS = [(3.0, 5.0, 116, 124), (5.0, 10.0, 247, 262), (8.0, 30.0, 661, 732),
-             (12.0, 95.52, 1990, 2107)]
+def _bound(x: float, n_th: float, dim: int) -> float:
+    # the O(1) bound `fock._tail_dim` meets: the thermal tail r^dim itself at x = 0
+    return (n_th / (1.0 + n_th)) ** dim if not x else fock._poisson_tail_bound(x, dim, n_th)
 
-    @pytest.mark.parametrize("alpha, n_th, moment, silent", PAIRS)
-    def test_the_suggestion_is_the_first_silent_dim(self, alpha, n_th, moment, silent):
+
+class TestDimensionRule:
+    # Every truncation dimension bmc suggests is the smallest d >= 2 at which
+    # the state's O(1) bound on the weight it loses meets a tolerance:
+    # `analytic.suggested_dim` at 1e-9, a report at COHERENT_LOSS_TOL / 2.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        modulus=st.floats(0.0, 12.0),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        n_th=st.floats(0.0, 100.0),
+        tol=st.sampled_from([5e-7, 1e-9, 1e-10]),
+    )
+    # the moment rule once suggested 116, 247, 661 and 1990 levels here, at
+    # which the state itself warned
+    @example(modulus=3.0, phase=0.0, n_th=5.0, tol=1e-9)
+    @example(modulus=5.0, phase=0.0, n_th=10.0, tol=1e-9)
+    @example(modulus=8.0, phase=0.0, n_th=30.0, tol=1e-9)
+    @example(modulus=12.0, phase=0.0, n_th=95.52, tol=1e-9)
+    @example(modulus=0.0, phase=0.0, n_th=0.0, tol=1e-9)
+    def test_the_smallest_dim_whose_bound_meets_the_tolerance(self, modulus, phase, n_th, tol):
+        alpha = modulus * complex(math.cos(phase), math.sin(phase))
+        x = abs(alpha) ** 2
+        dim = fock._tail_dim(x, n_th, tol)
+        assert mp_tail(x, n_th, dim) <= tol
+        assert dim == 2 or _bound(x, n_th, dim - 1) > tol
+        if tol != fock._TAIL_WEIGHT:
+            return
         state = analytic.GaussianChannelState(alpha, n_th)
-        assert analytic.suggested_dim(state) == moment
-        assert mp_tail(alpha**2, n_th, silent) < COHERENT_LOSS_TOL < mp_tail(alpha**2, n_th, silent - 1)
-        if silent < 1000:
+        assert analytic.suggested_dim(state) == dim
+        if dim <= 400:
             build = functools.partial(analytic.to_density_matrix, state)
         else:
-            # building at 2107 levels takes about a second; it makes this one check
+            # the same one decision (`test_one_decision_per_state`) without
+            # building a state that takes up to seconds
             build = functools.partial(fock._check_truncation, "state", alpha, n_th)
-        (report,) = _reports(lambda: build(moment))
-        assert report.endswith(f" at dim={moment}; suggest dim >= {silent}")
-        assert _reports(lambda: build(silent)) == []
-        (report,) = _reports(lambda: build(silent - 1))
-        assert report.endswith(f" at dim={silent - 1}; suggest dim >= {silent}")
+        assert _reports(lambda: build(dim)) == []
+
+    @pytest.mark.parametrize(
+        "alpha, n_th, suggested, quiet",
+        [(3.0, 5.0, 152, 197), (5.0, 10.0, 319, 409), (8.0, 30.0, 897, 1155),
+         (12.0, 95.52, 2611, 3392)],
+    )
+    def test_a_report_suggests_a_silent_dim(self, alpha, n_th, suggested, quiet):
+        state = analytic.GaussianChannelState(alpha, n_th)
+        assert analytic.suggested_dim(state) == quiet
+        (report,) = _reports(lambda: fock._check_truncation("state", alpha, n_th, 10))
+        assert report.endswith(f" at dim=10; suggest dim >= {suggested}")
+        assert mp_tail(alpha**2, n_th, suggested) <= 0.5 * COHERENT_LOSS_TOL
+        assert _reports(lambda: fock._check_truncation("state", alpha, n_th, suggested)) == []
+
+    def test_thermal_tail_dim_is_the_rule_at_the_tail_weight(self):
+        for n_th in (0.0, 1e-300, 0.3, 2.0, 5.0, 99.33, 1e8, 1e16, 1e200):
+            expected = 2 if not n_th else max(2, math.ceil(-math.log(1e-9) / math.log1p(1 / n_th)))
+            assert fock.thermal_tail_dim(n_th) == fock._tail_dim(0.0, n_th, 1e-9) == expected
+
+    @pytest.mark.parametrize(
+        "x, n_th",
+        # z - 1 is below eps here, so the bound forms w = z - 1 without z
+        [(1.0, 5.6e14), (1.0, 2.25e15), (9.0, 2.8e14), (1.0, 1e16), (1e100, 1.0)],
+    )
+    def test_large_inputs_get_a_finite_dim(self, x, n_th):
+        dim = fock._tail_dim(x, n_th, 1e-9)
+        assert x + n_th < dim < math.inf
+        assert fock._poisson_tail_bound(x, dim, n_th) <= 1e-9
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -165,5 +212,4 @@ class TestSilentSuggestion:
         if not fired:
             return  # nothing reportable beyond the vacuum
         suggested = int(re.search(r"suggest dim >= (\d+)$", fired[0]).group(1))
-        assert suggested >= fock._displaced_thermal_dim(alpha, n_th)
         assert _reports(lambda: fock._check_truncation("state", alpha, n_th, suggested)) == []
