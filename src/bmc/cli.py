@@ -467,6 +467,13 @@ def _run_optimal(args) -> int:
     params, t, search_max = values["params"], values["t"], values["search_max"]
     result = capacity.optimal_nbar(params, t, search_max)
     if not result.interior_optimum:
+        # e^{-gamma t} underflowed: Theta is 0.0 for every signal, not growing
+        if capacity.theta_at_nbar(params, t, search_max) == 0.0:
+            print(
+                f"no interior optimum: no signal reaches the output at t={t:g} "
+                f"(theta is 0 for every n_bar in (0, {search_max:g}])"
+            )
+            return EXIT_NO_OPTIMUM
         print(
             f"no interior optimum: theta is monotone in n_bar over (0, {search_max:g}] "
             f"at t={t:g} (it keeps growing with the signal)"

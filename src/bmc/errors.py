@@ -18,7 +18,9 @@ class DimensionMismatchError(ValueError):
 
 
 class NotAStateError(ValueError):
-    """A matrix violates the density-matrix invariants."""
+    """A matrix violates the density-matrix invariants: among them an
+    integrator input whose trace exceeds 1, or a trace that drifts while
+    stepping, which no truncation dimension causes or mends."""
 
 
 class StiffnessError(RuntimeError):
@@ -27,7 +29,9 @@ class StiffnessError(RuntimeError):
 
 
 class TruncationError(RuntimeError):
-    """The Fock-space truncation is too small for the requested computation."""
+    """The Fock-space truncation is too small for the requested computation:
+    a state loses weight beyond the cutoff (an integrator input whose trace
+    falls short of 1), or heating fills the top level while stepping."""
 
 
 class ConfigError(ValueError):

@@ -31,8 +31,9 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
 
-# Deviation from Hermitian up to which a spectrum is read: the loosest
-# `herm_tol` bmc's own `validate` calls pass (lindblad's `_EVOLVE_HERM_TOL`).
+# Deviation from Hermitian up to which a spectrum is read. It is also the
+# `herm_tol` the integrator passes for its input and outputs, so the spectrum
+# of every state it accepts can be read.
 _SPECTRUM_HERM_TOL = 1e-10
 
 # Truncation losses above this level are reported (`_check_truncation`).
@@ -632,15 +633,17 @@ def thermal_state(n_th: float, dim: int) -> DensityMatrix:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Base-2 entropy -sum(lambda log2 lambda) over the eigenvalues of rho.
 
-    Eigenvalues below the clipping floor are treated as exact zeros; an
-    eigenvalue below -POSITIVITY_TOL means the input is not a state.
+    Eigenvalues below the clipping floor are treated as exact zeros, and
+    those rounded above 1 (a pure state's) as 1, whose positive lambda log2
+    lambda would make the entropy negative; an eigenvalue below
+    -POSITIVITY_TOL means the input is not a state.
     """
     evals = rho.spectrum
     if float(evals[0]) < -POSITIVITY_TOL:
         raise NotAStateError(
             f"entropy of a non-positive matrix (min eigenvalue {evals[0]:.3e})"
         )
-    evals = evals[evals > _ENTROPY_FLOOR]
+    evals = np.minimum(evals[evals > _ENTROPY_FLOOR], 1.0)
     return 0.0 - float(np.sum(evals * np.log2(evals)))  # a pure state gives 0.0, not -0.0
 
 

@@ -24,17 +24,21 @@ import numpy as np
 from .errors import (
     InvalidParameterError,
     InvalidTimeError,
+    NotAStateError,
     StiffnessError,
     TruncationError,
 )
 from .fock import (
-    DensityMatrix, _check_real, _check_time, _tail_dim, mean_photon_number
+    _SPECTRUM_HERM_TOL,
+    DensityMatrix,
+    _check_real,
+    _check_time,
+    _tail_dim,
+    mean_photon_number,
 )
 
 _log = logging.getLogger("bmc")
 
-# Trace drift beyond this level means the representation lost physical weight.
-TRACE_DRIFT_LIMIT = 1e-6
 # Right-hand-side evaluations one `evolve_trajectory` may spend: about ten
 # times the most any test or benchmark run needs (3643, a coherent input
 # relaxed to t = 30/gamma at dim 40). Past it the step size is
@@ -47,8 +51,9 @@ _ABS_TOL = 1e-11
 # only as population piling up in the top level; beyond this it is too much.
 CUTOFF_POPULATION_LIMIT = 1e-10
 
-# Output-state invariant tolerances (looser than the constructors').
-_EVOLVE_HERM_TOL = 1e-10
+# State invariant tolerances (looser than the constructors'), met by the
+# input, every accepted step (the trace) and every sample. Hermiticity is
+# bounded by the tier up to which a spectrum is read (`fock`).
 _EVOLVE_TRACE_TOL = 1e-8
 _EVOLVE_PSD_TOL = 1e-8
 
@@ -170,12 +175,12 @@ def _generator(dim: int, params: ChannelParams):
 def lindblad_rhs(rho: DensityMatrix, params: ChannelParams) -> DensityMatrix:
     """Right-hand side d(rho)/dt of the reservoir master equation, in rho's frame:
     `evolve_trajectory`'s first k1, unpacked into an exactly Hermitian core
-    (real for a real core). A core further than _EVOLVE_HERM_TOL from
+    (real for a real core). A core further than _SPECTRUM_HERM_TOL from
     Hermitian, the integrator's bound on its input, raises NotAStateError.
     The result is traceless (exactly, by cyclicity of the truncated trace);
     it is a derivative, not a state.
     """
-    rho._check_hermitian(_EVOLVE_HERM_TOL)
+    rho._check_hermitian(_SPECTRUM_HERM_TOL)
     return rho._with_core(_unpack(_generator(rho.dim, params)(_pack(rho._core)), rho.dim))
 
 
@@ -215,12 +220,24 @@ def _error_ratio(err, abs_old, abs_new, dim):
 
 
 def _check_trace(y: np.ndarray, dim: int, t: float) -> None:
-    drift = abs(y[:dim].sum() - 1.0)
-    if not drift <= TRACE_DRIFT_LIMIT:
+    """Hold the trace, band 0's sum, within _EVOLVE_TRACE_TOL of 1.
+
+    The truncated generator conserves the trace, so only the input (t = 0)
+    can fall short of 1 by weight lost beyond the cutoff: TruncationError.
+    An input above 1, or drift during stepping, is no state: NotAStateError.
+    """
+    drift = float(y[:dim].sum().real) - 1.0
+    if abs(drift) <= _EVOLVE_TRACE_TOL:
+        return
+    if t == 0.0 and drift < 0.0:
         raise TruncationError(
-            f"trace drifted by {drift:.3e} at t={t:.6g}; "
-            "the truncation dimension is insufficient for this evolution"
+            f"trace drifted by {drift:.3e} at t=0: the input lost weight beyond "
+            f"the cutoff; the truncation dimension {dim} is insufficient for it"
         )
+    raise NotAStateError(
+        f"trace drifted by {drift:.3e} at t={t:.6g}; "
+        f"the trace must stay within {_EVOLVE_TRACE_TOL:.0e} of 1"
+    )
 
 
 def _check_cutoff(
@@ -257,10 +274,20 @@ def evolve_trajectory(
     next sample time is shortened to end on it; the step size (the larger of
     the one proposed before the shortening and the one after the landing
     step) and the first-same-as-last k1 carry on past every sample time.
-    Every accepted step is checked for trace drift and, when the reservoir
-    feeds photons, for population building up at the cutoff; every returned
-    state against the invariant triple. A run that needs more than
-    MAX_RHS_EVALS right-hand-side evaluations raises StiffnessError.
+    One trace rule holds: the input, every accepted step and every returned
+    state keep the trace within _EVOLVE_TRACE_TOL of 1 (`_check_trace`). The
+    truncated generator conserves the trace, so only an input short of 1,
+    which lost weight beyond the cutoff, raises TruncationError; an input
+    above 1, or drift while stepping, raises NotAStateError. The input (its
+    trace first) and every returned state meet the whole invariant triple,
+    the input before the first right-hand-side evaluation. When the
+    reservoir feeds photons every accepted step is also checked for
+    population building up at the cutoff (TruncationError). The guards hold
+    no unit of time: with c a power of two, the outputs at times t / c of a
+    channel with rates c gamma and c beta are bit-for-bit those at t of the
+    channel with gamma and beta. A step below 1e-14 of the next sample time
+    (unless it lands on it), or a run that needs more than MAX_RHS_EVALS
+    right-hand-side evaluations, raises StiffnessError.
 
     A step of size h is y1 = R(hL) y with the stability polynomial
     R(z) = sum_{k<=5} z^k/k! + z^6/600. The powers p_k = (hL)^k y fill the
@@ -299,10 +326,12 @@ def evolve_trajectory(
     if any(later < t for t, later in zip(times, times[1:])):
         raise InvalidTimeError("sample times must be nondecreasing")
 
-    rho0.validate(herm_tol=_EVOLVE_HERM_TOL, trace_tol=math.inf, psd_tol=_EVOLVE_PSD_TOL)
     dim = rho0.dim
     y = _pack(rho0._core)
     _check_trace(y, dim, 0.0)
+    rho0.validate(
+        herm_tol=_SPECTRUM_HERM_TOL, trace_tol=_EVOLVE_TRACE_TOL, psd_tol=_EVOLVE_PSD_TOL
+    )
     states = {0.0: rho0}
     stops = sorted(set(times) - {0.0})
     if not stops:
@@ -314,11 +343,11 @@ def evolve_trajectory(
     evals, accepted, rejected = 1, 0, 0
     abs_y = np.abs(y)
     # Initial step from the size of the state and its derivative; a state that
-    # does not move tries one step to the last sample time.
+    # does not move by the last sample time tries one step to it.
     scale = _ABS_TOL + _REL_TOL * abs_y
     d0 = _rms(abs_y / scale, dim)
     d1 = _rms(np.abs(k1) / scale, dim)
-    h = stops[-1] if (d0 < 1e-8 or d1 < 1e-8) else 0.01 * d0 / d1
+    h = stops[-1] if (d0 < 1e-8 or d1 * stops[-1] < 1e-8) else 0.01 * d0 / d1
     # Row k - 1 holds p_k = (hL)^k y; a complex route sums real and imaginary
     # parts in the same real product as the real route.
     powers = np.empty((6, y.size), dtype=y.dtype)
@@ -327,7 +356,7 @@ def evolve_trajectory(
     for t_stop in stops:
         while t < t_stop:
             # A step that lands on a tiny sample time is no underflow.
-            if h < 1e-14 * max(1.0, t_stop) and h < t_stop - t:
+            if h < 1e-14 * t_stop and h < t_stop - t:
                 raise StiffnessError(
                     f"step size underflow at t={t:.6g} (h={h:.3e}); problem too stiff"
                 )
@@ -368,7 +397,7 @@ def evolve_trajectory(
             # proposed before the shortening, when that is larger.
             h = max(h, h_next) if ok and h_try < h else h_next
         states[t_stop] = rho0._with_core(_unpack(y, dim)).validate(
-            herm_tol=_EVOLVE_HERM_TOL,
+            herm_tol=_SPECTRUM_HERM_TOL,
             trace_tol=_EVOLVE_TRACE_TOL,
             psd_tol=_EVOLVE_PSD_TOL,
         )

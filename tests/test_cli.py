@@ -290,6 +290,21 @@ class TestValidate:
             "worst entropy gap 4.000e-09 at (eta=0, t=0.5)"
         )
 
+    @pytest.mark.parametrize("k", [-200, -100, -60, 40, 100, 200])
+    def test_the_grid_depends_on_gamma_t_and_beta_over_gamma_only(self, k):
+        # scaling the rates by 2^k and the times by 2^-k is exact in floating
+        # point; the step floor (1e-14 of max(1, t)) raised StiffnessError at
+        # t = 0 for k >= 40, and the stationary test (d1 < 1e-8, which has
+        # units of 1/time) changed the numbers for k <= -60
+        base = run_validation(ChannelParams(gamma=0.1, beta_rate=0.01))
+        c = 2.0**k
+        scaled = run_validation(
+            ChannelParams(gamma=0.1 * c, beta_rate=0.01 * c),
+            times=[t / c for t in cli.DEFAULT_TIMES],
+        )
+        assert scaled.trace_distances == base.trace_distances
+        assert scaled.entropy_gaps == base.entropy_gaps
+
     def test_truncation_error_suggests_dim(self, capsys):
         code = cli.main(["validate", "--etas", "2", "--times", "0.5", "--dim", "5"])
         assert code == EXIT_VALIDATION_FAILED
@@ -450,6 +465,18 @@ class TestOptimal:
         code = cli.main(["optimal", "--t", "1e-6"])
         assert code == EXIT_NO_OPTIMUM
         assert "no interior optimum" in capsys.readouterr().out
+
+    def test_a_dead_channel_is_not_called_growing(self, capsys):
+        # gamma t = 800: e^{-gamma t} underflows to 0.0, so theta is 0.0 at
+        # every n_bar; it was said to keep growing with the signal
+        params = ChannelParams(gamma=0.1, beta_rate=0.01)
+        assert theta_at_nbar(params, 8000.0, 1.0) == theta_at_nbar(params, 8000.0, 1000.0) == 0.0
+        code = cli.main(["optimal", "--t", "8000"])
+        assert code == EXIT_NO_OPTIMUM
+        assert capsys.readouterr().out == (
+            "no interior optimum: no signal reaches the output at t=8000 "
+            "(theta is 0 for every n_bar in (0, 1000])\n"
+        )
 
     def test_curve_contains_interior_maximum(self, tmp_path):
         out = tmp_path / "theta.csv"

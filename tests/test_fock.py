@@ -37,7 +37,7 @@ from bmc import (
     trace_distance,
     von_neumann_entropy,
 )
-from bmc import analytic, fock, lindblad
+from bmc import analytic, fock
 from oracles import expm_displacement, ladder_operators, thermal_entropy_by_summation
 
 
@@ -356,6 +356,43 @@ class TestVonNeumannEntropy:
         entropy = von_neumann_entropy(build())
         assert math.copysign(1.0, entropy) == 1.0
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        re=st.floats(-2.0, 2.0),
+        im=st.floats(-2.0, 2.0),
+        framed=st.booleans(),
+    )
+    # eigenvalues rounded above 1 gave -9.6e-16 (the first three) and -6.4e-16 bits
+    @example(re=-0.631141575765397, im=0.929137500973796, framed=False)
+    @example(re=-1.374996046345663, im=0.39509305510893244, framed=False)
+    @example(re=1.4334699403980649, im=0.23599825548660097, framed=False)
+    @example(re=0.3983699672639724, im=-0.562823337417525, framed=True)
+    def test_a_pure_state_entropy_is_never_negative(self, re, im, framed):
+        eta = complex(re, im)
+        rho = fock._coherent_projector(eta, 30) if framed else projector(coherent_state(eta, 30))
+        entropy = von_neumann_entropy(rho)
+        assert math.copysign(1.0, entropy) == 1.0
+        assert entropy < 1e-9
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: thermal_state(0.7, 40),
+            lambda: fock.displaced_thermal_state(1.5 - 0.5j, 0.05, 40),
+            lambda: bmc.evolve(
+                projector(coherent_state(1 + 1j, 30)),
+                bmc.ChannelParams(gamma=0.1, beta_rate=0.01),
+                0.1,
+            ),
+            lambda: DensityMatrix(np.eye(4) / 4.0),
+        ],
+        ids=["thermal", "displaced_thermal", "evolved_coherent", "maximally_mixed"],
+    )
+    def test_a_mixed_state_entropy_sums_every_eigenvalue_as_it_is(self, build):
+        rho = build()
+        evals = rho.spectrum[rho.spectrum > 1e-14]
+        assert von_neumann_entropy(rho) == 0.0 - float(np.sum(evals * np.log2(evals)))
+
     def test_thermal_unit_occupation_two_bits(self):
         # oracle: g(1) = 2 log2(2) - 1 log2(1) = 2, and direct -sum p log2 p
         rho = thermal_state(1.0, 60)
@@ -649,13 +686,21 @@ class TestSpectrum:
 
     def test_the_spectrum_reads_any_core_evolve_accepts(self):
         # a deviation of 5e-11 passes `evolve`'s Hermiticity check, so its
-        # spectrum is read as well
-        assert fock._SPECTRUM_HERM_TOL >= lindblad._EVOLVE_HERM_TOL
+        # spectrum is read as well; one just past the spectrum's tier is
+        # refused by `evolve` and `lindblad_rhs` alike
+        too_far = np.array(projector(coherent_state(0.5, 20)).entries)
+        too_far[0, 1] += 2.0 * fock._SPECTRUM_HERM_TOL
+        params = bmc.ChannelParams(gamma=0.1, beta_rate=0.01)
+        refused = r"not Hermitian: max deviation 2\.000e-10 > 1\.0e-10"
+        with pytest.raises(NotAStateError, match=refused):
+            bmc.evolve(DensityMatrix(too_far), params, 0.5)
+        with pytest.raises(NotAStateError, match=refused):
+            bmc.lindblad_rhs(DensityMatrix(too_far), params)
         mat = np.array(projector(coherent_state(0.5, 20)).entries)
         mat[0, 1] += 5e-11
         rho = DensityMatrix(mat)
         assert von_neumann_entropy(rho) < 1e-9
-        out = bmc.evolve(rho, bmc.ChannelParams(gamma=0.1, beta_rate=0.01), 0.5)
+        out = bmc.evolve(rho, params, 0.5)
         assert von_neumann_entropy(out) > 0.0
 
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import logging
 import math
@@ -116,24 +117,31 @@ def _random_hermitian(dim, seed):
     return x + x.conj().T
 
 
-def _counted(rho0, params, times):
-    """`evolve_trajectory` and the number of right-hand-side evaluations it made."""
+@contextlib.contextmanager
+def _counting_rhs():
+    """Count the right-hand-side evaluations made inside, in the one entry of
+    the yielded list; the count stands when the block raises."""
     generator = lindblad._generator
-    evals = 0
+    evals = [0]
 
     def counting_generator(dim, params):
         rhs = generator(dim, params)
 
         def f(rho):
-            nonlocal evals
-            evals += 1
+            evals[0] += 1
             return rhs(rho)
 
         return f
 
     with mock.patch.object(lindblad, "_generator", counting_generator):
+        yield evals
+
+
+def _counted(rho0, params, times):
+    """`evolve_trajectory` and the number of right-hand-side evaluations it made."""
+    with _counting_rhs() as evals:
         trajectory = evolve_trajectory(rho0, params, times)
-    return trajectory, evals
+    return trajectory, evals[0]
 
 
 def _random_mixed_state(dim, seed, support=6):
@@ -531,10 +539,38 @@ class TestFailureModes:
 
     def test_trace_drift_caught_during_stepping(self, monkeypatch):
         # y' = y is smooth, so the steps are accepted, but its trace grows
-        # as e^t; the check after the first step (to t = 0.01) stops it
+        # as e^t; the check after the first step (to t = 0.01) stops it. The
+        # truncated generator conserves the trace, so drift while stepping
+        # is no truncation: the stepped matrix is not a state
         monkeypatch.setattr(lindblad, "_generator", lambda dim, params: lambda y: y)
-        with pytest.raises(TruncationError, match=r"trace drifted by \S+ at t=0\.01;"):
+        with pytest.raises(NotAStateError, match=r"trace drifted by \S+ at t=0\.01;"):
             evolve(DensityMatrix(np.eye(4) / 4.0), REF, 1.0)
+
+    @pytest.mark.parametrize(
+        "excess, error, cause",
+        # +-5e-7 were caught only at the t = 1 sample, after 31 evaluations,
+        # as NotAStateError; 5e-6 raised TruncationError, blaming the dimension
+        [
+            (5e-7, NotAStateError, r"the trace must stay within 1e-08 of 1"),
+            (5e-6, NotAStateError, r"the trace must stay within 1e-08 of 1"),
+            (-5e-7, TruncationError, r"lost weight beyond the cutoff; the truncation dimension 10"),
+        ],
+        ids=["above_1", "far_above_1", "short_of_1"],
+    )
+    def test_one_trace_rule_refuses_the_input_before_any_step(self, excess, error, cause):
+        mat = np.zeros((10, 10))
+        mat[0, 0] = 1.0 + excess
+        with _counting_rhs() as evals:
+            with pytest.raises(error, match=rf"trace drifted by {excess:.3e} at t=0\S* .*{cause}"):
+                evolve(DensityMatrix(mat), REF, 1.0)
+        assert evals == [0]
+
+    def test_an_input_within_the_trace_tolerance_runs(self):
+        mat = np.zeros((10, 10))
+        mat[0, 0] = 1.0 + 5e-9
+        [(_, rho)], evals = _counted(DensityMatrix(mat), REF, [1.0])
+        assert evals > 0
+        assert abs(rho.trace() - 1.0) <= lindblad._EVOLVE_TRACE_TOL
 
 
 class TestRealRoute:
