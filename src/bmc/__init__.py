@@ -45,7 +45,6 @@ from .fock import (
     number_state,
     projector,
     thermal_state,
-    thermal_tail_dim,
     trace_distance,
     von_neumann_entropy,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "optimal_nbar",
     "projector",
     "thermal_state",
-    "thermal_tail_dim",
     "to_density_matrix",
     "trace_distance",
     "von_neumann_entropy",

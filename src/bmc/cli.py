@@ -101,13 +101,6 @@ class SweepSpec:
             replace(self.fixed, **{self.swept: self.hi})
 
 
-def preset_spec(name: str) -> SweepSpec:
-    """Shipped figure presets over the reference channel parameters."""
-    if name not in _PRESETS:
-        raise ConfigError(f"unknown preset {name!r}")
-    return SweepSpec(fixed=_params(_REFERENCE), **_PRESETS[name])
-
-
 def sweep_rows(spec: SweepSpec) -> list[tuple[float, capacity.CapacityPoint]]:
     """Evaluate the sweep, ordered by (swept value, t)."""
     values = np.linspace(spec.lo, spec.hi, spec.steps)
@@ -123,16 +116,21 @@ def sweep_rows(spec: SweepSpec) -> list[tuple[float, capacity.CapacityPoint]]:
     return rows
 
 
-def write_sweep_csv(rows, out_path) -> Path:
+def _write_csv(out_path, header: str, rows) -> Path:
+    """The one CSV format: the header line, then one line of `%.12e` fields
+    per row, LF endings."""
     out_path = Path(out_path)
+    line = ",".join(["{:.12e}"] * (header.count(",") + 1)) + "\n"
     with open(out_path, "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for value, point in rows:
-            fh.write(
-                f"{value:.12e},{point.t:.12e},{point.chi:.12e},"
-                f"{point.avg_fidelity:.12e},{point.theta:.12e}\n"
-            )
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(line.format(*row))
     return out_path
+
+
+def write_sweep_csv(rows, out_path) -> Path:
+    fields = ((value, p.t, p.chi, p.avg_fidelity, p.theta) for value, p in rows)
+    return _write_csv(out_path, CSV_HEADER, fields)
 
 
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3
@@ -184,7 +182,7 @@ class ValidationReport:
     grid: tuple[tuple[complex, float], ...]
     trace_distances: tuple[float, ...]
     entropy_gaps: tuple[float, ...]
-    # Per point: trace distance and entropy gap both within tolerance.
+    # Per point: trace distance and entropy gap both within their thresholds.
     point_passed: tuple[bool, ...]
 
     @property
@@ -196,24 +194,21 @@ def run_validation(
     params: ChannelParams,
     etas=DEFAULT_ETAS,
     times=DEFAULT_TIMES,
-    dim: int | None = None,
-    trace_tol: float = TRACE_DISTANCE_THRESHOLD,
-    entropy_tol: float = ENTROPY_GAP_THRESHOLD,
+    dim: int = DEFAULT_DIM,
 ) -> ValidationReport:
     """Compare integrated against closed-form output states on a grid.
 
     For every input amplitude the trajectory is integrated once and sampled
     at all requested times; each sample is compared by trace distance to the
     closed-form displaced thermal state, and its eigenvalue entropy to the
-    closed-form entropy of the thermal occupation.
+    closed-form entropy of the thermal occupation. A point passes within
+    TRACE_DISTANCE_THRESHOLD and ENTROPY_GAP_THRESHOLD, read at call time.
     """
-    dim = DEFAULT_DIM if dim is None else fock._check_dim(dim)
+    dim = fock._check_dim(dim)
     etas = tuple(fock._check_amplitude(e) for e in etas)
     times = tuple(fock._check_time(t) for t in times)
     if not etas or not times:
         raise InvalidParameterError("validation needs at least one eta and one time")
-    trace_tol = fock._check_real(trace_tol, "trace_tol")
-    entropy_tol = fock._check_real(entropy_tol, "entropy_tol")
     for eta in etas:
         fock._check_truncation("input |{0}>", eta, 0.0, dim, TruncationError)
     inputs = [fock._coherent_projector(eta, dim) for eta in etas]
@@ -234,12 +229,10 @@ def run_validation(
             tds.append(fock.trace_distance(numeric, exact))
             gaps.append(abs(fock.von_neumann_entropy(numeric) - exact_entropy[t]))
 
-    return ValidationReport(
-        grid=tuple(grid),
-        trace_distances=tuple(tds),
-        entropy_gaps=tuple(gaps),
-        point_passed=tuple(d <= trace_tol and g <= entropy_tol for d, g in zip(tds, gaps)),
+    passed = tuple(
+        d <= TRACE_DISTANCE_THRESHOLD and g <= ENTROPY_GAP_THRESHOLD for d, g in zip(tds, gaps)
     )
+    return ValidationReport(tuple(grid), tuple(tds), tuple(gaps), passed)
 
 
 def print_validation_table(report: ValidationReport) -> None:
@@ -271,13 +264,8 @@ def _format_complex(z: complex) -> str:
 
 def write_theta_curve(params: ChannelParams, t: float, search_max: float, out_path) -> Path:
     """Emit THETA_CURVE_POINTS log-spaced n_bar,theta rows as CSV."""
-    out_path = Path(out_path)
     grid = np.geomspace(1e-2, search_max, THETA_CURVE_POINTS)
-    with open(out_path, "w", newline="\n") as fh:
-        fh.write("n_bar,theta\n")
-        for n, value in zip(grid, theta_curve(params, t, grid)):
-            fh.write(f"{n:.12e},{value:.12e}\n")
-    return out_path
+    return _write_csv(out_path, "n_bar,theta", zip(grid, theta_curve(params, t, grid)))
 
 
 # --- settings: config files, flags and their precedence ----------------------
@@ -397,12 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--times", type=float_list, default=DEFAULT_TIMES, help="comma-separated times in s"
     )
     _config_flag(p_val, "--dim", "dim", f"Fock truncation dimension (default {DEFAULT_DIM})")
-    p_val.add_argument(
-        "--trace-tol", type=float, default=TRACE_DISTANCE_THRESHOLD, help="default %(default)g"
-    )
-    p_val.add_argument(
-        "--entropy-tol", type=float, default=ENTROPY_GAP_THRESHOLD, help="default %(default)g"
-    )
     _add_param_flags(p_val)
 
     p_opt = sub.add_parser("optimal", help="signal strength maximizing theta")
@@ -421,16 +403,19 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _run_sweep(args) -> int:
-    values = resolve(args)
+def sweep_spec(values: dict) -> SweepSpec:
+    """The sweep that settings resolved by `resolve` define."""
     missing = [k for k in ("swept", "lo", "hi", "steps") if k not in values]
     if missing:
         raise ConfigError(
             f"sweep definition missing {', '.join(missing)}: "
             "give --preset, a config sweep definition, or --swept/--lo/--hi/--steps"
         )
-    spec = SweepSpec(fixed=values["params"], **{k: values[k] for k in _SWEEP_KEYS if k in values})
-    path = write_sweep_csv(sweep_rows(spec), args.out)
+    return SweepSpec(fixed=values["params"], **{k: values[k] for k in _SWEEP_KEYS if k in values})
+
+
+def _run_sweep(args) -> int:
+    path = write_sweep_csv(sweep_rows(sweep_spec(resolve(args))), args.out)
     if args.plot:
         write_plot_script(path)
     print(f"wrote {path}")
@@ -444,9 +429,7 @@ def _run_validate(args) -> int:
             values["params"],
             etas=values["etas"],
             times=values["times"],
-            dim=values.get("dim"),
-            trace_tol=values["trace_tol"],
-            entropy_tol=values["entropy_tol"],
+            dim=values.get("dim", DEFAULT_DIM),
         )
     except TruncationError as exc:
         print(f"truncation insufficient: {exc}", file=sys.stderr)

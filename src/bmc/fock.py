@@ -31,10 +31,12 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
 
-# Deviation from Hermitian up to which a spectrum is read. It is also the
-# `herm_tol` the integrator passes for its input and outputs, so the spectrum
-# of every state it accepts can be read.
+# The reading tier: the deviation from Hermitian up to which a spectrum, or a
+# trace distance (twice it, for a difference of two states), is read, and the
+# negative eigenvalue up to which an entropy is. The integrator checks its
+# input and outputs at this tier, so every state it accepts or returns can be read.
 _SPECTRUM_HERM_TOL = 1e-10
+_SPECTRUM_PSD_TOL = 1e-8
 
 # Truncation losses above this level are reported (`_check_truncation`).
 COHERENT_LOSS_TOL = 1e-6
@@ -46,7 +48,7 @@ _NEGLIGIBLE_WEIGHT = np.finfo(float).eps ** 2
 # Eigenvalues at or below this level contribute nothing to the entropy.
 _ENTROPY_FLOOR = 1e-14
 
-# Thermal tail weight `thermal_tail_dim` leaves beyond the cutoff.
+# Weight `analytic.suggested_dim` leaves beyond the cutoff.
 _TAIL_WEIGHT = 1e-9
 
 # Per-level phase mismatch up to which `trace_distance` compares two states
@@ -636,10 +638,10 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     Eigenvalues below the clipping floor are treated as exact zeros, and
     those rounded above 1 (a pure state's) as 1, whose positive lambda log2
     lambda would make the entropy negative; an eigenvalue below
-    -POSITIVITY_TOL means the input is not a state.
+    -_SPECTRUM_PSD_TOL means the input is not a state.
     """
     evals = rho.spectrum
-    if float(evals[0]) < -POSITIVITY_TOL:
+    if float(evals[0]) < -_SPECTRUM_PSD_TOL:
         raise NotAStateError(
             f"entropy of a non-positive matrix (min eigenvalue {evals[0]:.3e})"
         )
@@ -675,7 +677,7 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     (two identity frames always do) delta is read as 1, off the exact value by
     at most max |q1_n - q2_n| (||C2||_1 = 1 for a state), the order of the
     round-off of a complex difference. The solver reads one triangle, so a
-    difference not Hermitian to 2 * HERMITICITY_TOL raises NotAStateError.
+    difference not Hermitian to 2 * _SPECTRUM_HERM_TOL raises NotAStateError.
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatchError(
@@ -686,7 +688,7 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     delta = q1.conj() * q2
     diff = rho1._core - (rho2._core if matched else np.outer(delta, delta.conj()) * rho2._core)
     herm_dev = _asymmetry(diff)
-    if not herm_dev <= 2.0 * HERMITICITY_TOL:
+    if not herm_dev <= 2.0 * _SPECTRUM_HERM_TOL:
         raise NotAStateError(
             f"trace distance of a non-Hermitian difference: max deviation {herm_dev:.3e}"
         )
@@ -711,9 +713,3 @@ def field_amplitude(rho: DensityMatrix) -> complex:
     sub = np.diagonal(rho._core, offset=-1)
     step = _displacement_phases(rho._alpha, 2)[1]
     return complex(step * np.sum(np.sqrt(np.arange(1, rho.dim)) * sub))
-
-
-def thermal_tail_dim(n_th: float) -> int:
-    """Smallest dim whose truncated thermal tail weight is at most 1e-9
-    (`_tail_dim` at x = 0)."""
-    return _tail_dim(0.0, _check_real(n_th, "thermal occupation"), _TAIL_WEIGHT)

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .fock import (
     _SPECTRUM_HERM_TOL,
+    _SPECTRUM_PSD_TOL,
     DensityMatrix,
     _check_real,
     _check_time,
@@ -51,11 +52,10 @@ _ABS_TOL = 1e-11
 # only as population piling up in the top level; beyond this it is too much.
 CUTOFF_POPULATION_LIMIT = 1e-10
 
-# State invariant tolerances (looser than the constructors'), met by the
-# input, every accepted step (the trace) and every sample. Hermiticity is
-# bounded by the tier up to which a spectrum is read (`fock`).
+# Trace tolerance (looser than the constructors'), met by the input, every
+# accepted step and every sample. Hermiticity and positivity are checked at
+# the tier up to which `fock` reads a state.
 _EVOLVE_TRACE_TOL = 1e-8
-_EVOLVE_PSD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -255,9 +255,14 @@ def _check_cutoff(
         # The top level d - 1 holds at most the weight a thermal state of
         # that mean puts at n >= d - 1, which the rule keeps to the limit.
         needed = 1 + _tail_dim(0.0, mean, CUTOFF_POPULATION_LIMIT)
+        where = f"population {top:.3e} in the top Fock level {rho0.dim - 1} at t={t:.6g}"
+        if needed <= rho0.dim:
+            raise TruncationError(
+                f"{where} is not the thermal tail of mean {mean:.6g} photons, which fits "
+                f"in dim {needed}: it is the input's own weight at the cutoff or stepping error"
+            )
         raise TruncationError(
-            f"population {top:.3e} in the top Fock level {rho0.dim - 1} "
-            f"at t={t:.6g}; the truncation dimension is insufficient for this evolution "
+            f"{where}; the truncation dimension is insufficient for this evolution "
             f"to t={t_end:.6g}; suggest dim >= {needed}"
         )
 
@@ -330,7 +335,7 @@ def evolve_trajectory(
     y = _pack(rho0._core)
     _check_trace(y, dim, 0.0)
     rho0.validate(
-        herm_tol=_SPECTRUM_HERM_TOL, trace_tol=_EVOLVE_TRACE_TOL, psd_tol=_EVOLVE_PSD_TOL
+        herm_tol=_SPECTRUM_HERM_TOL, trace_tol=_EVOLVE_TRACE_TOL, psd_tol=_SPECTRUM_PSD_TOL
     )
     states = {0.0: rho0}
     stops = sorted(set(times) - {0.0})
@@ -399,7 +404,7 @@ def evolve_trajectory(
         states[t_stop] = rho0._with_core(_unpack(y, dim)).validate(
             herm_tol=_SPECTRUM_HERM_TOL,
             trace_tol=_EVOLVE_TRACE_TOL,
-            psd_tol=_EVOLVE_PSD_TOL,
+            psd_tol=_SPECTRUM_PSD_TOL,
         )
     _log.debug(
         "evolve_trajectory: %s route, dim %d, %d right-hand-side evaluations, "

@@ -149,11 +149,16 @@ def test_criterion_4_boundary_values():
     )
 
 
+def _preset_rows(preset):
+    args = cli.build_parser().parse_args(["sweep", "--preset", preset, "--out", "unused.csv"])
+    return cli.sweep_rows(cli.sweep_spec(cli.resolve(args)))
+
+
 def test_criterion_5_figure_monotonicity():
     ok = True
     detail = []
     for preset, direction in (("fig1", "+"), ("fig2", "-"), ("fig3", "-")):
-        rows = cli.sweep_rows(cli.preset_spec(preset))
+        rows = _preset_rows(preset)
         by_t = {}
         for value, point in rows:
             by_t.setdefault(point.t, []).append((value, point.chi))
@@ -166,7 +171,7 @@ def test_criterion_5_figure_monotonicity():
                 ok &= all(d < 0 for d in diffs)
         detail.append(f"{preset}: chi strictly {'increasing' if direction == '+' else 'decreasing'}")
     # average fidelity strictly decreasing in n_bar at fixed t > 0
-    fid_rows = cli.sweep_rows(cli.preset_spec("fig1"))
+    fid_rows = _preset_rows("fig1")
     by_t = {}
     for value, point in fid_rows:
         by_t.setdefault(point.t, []).append((value, point.avg_fidelity))

@@ -255,7 +255,7 @@ class TestSuggestedDim:
         d_sq, n_th = abs(state.displacement) ** 2, state.thermal_photons
         mean, variance = d_sq + n_th, d_sq * (2.0 * n_th + 1.0) + n_th * (n_th + 1.0)
         assert dim >= mean + 8.0 * math.sqrt(variance + 1.0) + 10.0
-        assert dim >= fock.thermal_tail_dim(n_th)
+        assert dim >= analytic.suggested_dim(GaussianChannelState(0.0, n_th))
 
 
 def _finite(value) -> bool:
@@ -277,7 +277,7 @@ class TestFiniteOrTypedError:
     def test_truncation_helpers_and_closed_forms(self, n, re, im):
         eta = complex(re, im)
         calls = (
-            lambda: fock.thermal_tail_dim(n),
+            lambda: analytic.suggested_dim(GaussianChannelState(0.0, n)),
             lambda: fock.thermal_state(n, 10),
             lambda: coherent_state(eta, 20),
             lambda: analytic.suggested_dim(GaussianChannelState(eta, n)),

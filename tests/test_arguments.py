@@ -62,19 +62,11 @@ REAL_SITES = {
         InvalidParameterError,
         False,
     ),
-    "thermal_tail_dim": (fock.thermal_tail_dim, InvalidParameterError, False),
+    "suggested_dim.thermal_photons-x0": (
+        lambda v: analytic.suggested_dim(GaussianChannelState(0, v)), InvalidParameterError, False
+    ),
     "run_validation.times": (
         lambda v: cli.run_validation(REF, etas=(0.5,), times=(v,), dim=20), InvalidTimeError, False
-    ),
-    "run_validation.trace_tol": (
-        lambda v: cli.run_validation(REF, etas=(0.0,), times=(0.5,), dim=20, trace_tol=v),
-        InvalidParameterError,
-        False,
-    ),
-    "run_validation.entropy_tol": (
-        lambda v: cli.run_validation(REF, etas=(0.0,), times=(0.5,), dim=20, entropy_tol=v),
-        InvalidParameterError,
-        False,
     ),
     "SweepSpec.lo": (
         lambda v: cli.SweepSpec("n_bar", v, 10.0, 3, REF), InvalidParameterError, False

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import inspect
 import io
 import math
 import shlex
@@ -35,11 +36,11 @@ from bmc.cli import (
     EXIT_VALIDATION_FAILED,
     SweepSpec,
     load_config,
-    preset_spec,
     print_validation_table,
     resolve,
     run_validation,
     sweep_rows,
+    sweep_spec,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -139,7 +140,7 @@ class TestResolve:
 
 class TestSweep:
     def test_rows_match_capacity_points(self):
-        spec = preset_spec("fig1")
+        spec = sweep_spec(resolve_argv("sweep", "--preset", "fig1", "--out", "unused.csv"))
         rows = sweep_rows(spec)
         assert len(rows) == spec.steps * len(spec.t_grid)
         value, point = rows[7]
@@ -332,25 +333,30 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err == "integration failed: trace deviates from 1 by 1.000e-03 > 1.0e-09\n"
 
-    def test_impossible_threshold_fails_with_code_2(self, capsys):
-        code = cli.main(
-            ["validate", "--etas", "0.5", "--times", "0.5", "--dim", "30",
-             "--trace-tol", "1e-30"]
-        )
+    def test_impossible_threshold_fails_with_code_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "TRACE_DISTANCE_THRESHOLD", 1e-30)
+        code = cli.main(["validate", "--etas", "0.5", "--times", "0.5", "--dim", "30"])
         assert code == EXIT_VALIDATION_FAILED
         assert "validation FAILED" in capsys.readouterr().out
 
-    def test_validation_thresholds_definition_of_passed(self):
+    def test_validation_thresholds_definition_of_passed(self, monkeypatch):
+        monkeypatch.setattr(cli, "TRACE_DISTANCE_THRESHOLD", 1e-30)
         params = ChannelParams(gamma=0.1, beta_rate=0.01)
-        report = run_validation(
-            params, etas=(0.5,), times=(0.5,), dim=30, trace_tol=1e-30
-        )
+        report = run_validation(params, etas=(0.5,), times=(0.5,), dim=30)
         assert not report.passed
         assert all(d > 1e-30 for d in report.trace_distances)
 
-    def test_table_rows_use_the_report_tolerances(self, capsys):
-        # a tolerance passed to run_validation also decides each row's status
-        report = run_validation(REF, etas=(0.5,), times=(1, 5), dim=30, trace_tol=1e-12)
+    def test_the_entropy_gate_decides_too(self, monkeypatch):
+        monkeypatch.setattr(cli, "ENTROPY_GAP_THRESHOLD", 1e-30)
+        report = run_validation(REF, etas=(0.5,), times=(0.5,), dim=30)
+        assert not report.passed
+        assert all(g > 1e-30 for g in report.entropy_gaps)
+        assert max(report.trace_distances) <= cli.TRACE_DISTANCE_THRESHOLD
+
+    def test_table_rows_use_the_report_thresholds(self, monkeypatch, capsys):
+        # the threshold run_validation reads also decides each row's status
+        monkeypatch.setattr(cli, "TRACE_DISTANCE_THRESHOLD", 1e-12)
+        report = run_validation(REF, etas=(0.5,), times=(1, 5), dim=30)
         print_validation_table(report)
         lines = capsys.readouterr().out.splitlines()
         statuses = [line.split()[-1] for line in lines[1:3]]
@@ -569,17 +575,16 @@ class TestMisuse:
         assert ("--m-re" if source == "flag" else "unknown key 'm_re'") in captured.err
         assert list(tmp_path.glob("*.csv")) == []
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    # The 1e-6 gates are not settings: no flag and no keyword sets them.
     @pytest.mark.parametrize("flag", ["--trace-tol", "--entropy-tol"])
-    def test_bad_tolerance_is_usage_error(self, flag, tol, capsys):
-        code = cli.main(["validate", "--etas", "0", "--times", "0.5", "--dim", "10", flag, tol])
-        assert code == EXIT_USAGE
-        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    def test_no_flag_sets_a_gate(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["validate", flag, "1e-3"])
+        assert info.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 1e-3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kwarg", ["trace_tol", "entropy_tol"])
-    def test_run_validation_rejects_bad_tolerance(self, kwarg):
-        with pytest.raises(InvalidParameterError, match=kwarg):
-            run_validation(REF, etas=(0.0,), times=(0.5,), dim=10, **{kwarg: math.nan})
+    def test_no_keyword_sets_a_gate(self):
+        assert list(inspect.signature(run_validation).parameters) == ["params", "etas", "times", "dim"]
 
     @pytest.mark.parametrize("dim", [30.9, "30"])
     def test_run_validation_rejects_a_non_integer_dimension(self, dim):
@@ -741,9 +746,9 @@ class TestHostileInput:
         assert "Traceback" not in err.getvalue()
 
 
-def readme_block(lang):
-    """The first fenced `lang` block of README's "Command line" section."""
-    section = README.read_text().split("## Command line", 1)[1]
+def readme_block(lang, section="Command line"):
+    """The first fenced `lang` block of a README section."""
+    section = README.read_text().split(f"## {section}\n", 1)[1]
     return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
 
 
@@ -765,3 +770,6 @@ class TestReadme:
         conf = tmp_path / "run.conf"
         conf.write_text(readme_block("ini"))
         assert set(load_config(conf)) == set(cli._CONVERTERS)
+
+    def test_library_example_runs(self):
+        exec(compile(readme_block("python", "Library example"), "README.md", "exec"), {})

@@ -33,7 +33,6 @@ from bmc import (
     number_state,
     projector,
     thermal_state,
-    thermal_tail_dim,
     trace_distance,
     von_neumann_entropy,
 )
@@ -992,10 +991,15 @@ class TestTruncationReport:
         assert [w.filename for w in record] == [__file__] * len(record)
 
 
+def _thermal_rule(n_th):
+    # the smallest dim >= 2 with r^dim <= 1e-9, r = n_th / (1 + n_th)
+    return max(2, math.ceil(-math.log(1e-9) / math.log1p(1 / n_th))) if n_th else 2
+
+
 class TestTruncationHelpers:
-    def test_thermal_tail_dim_bounds_tail(self):
+    def test_suggested_dim_bounds_a_thermal_tail(self):
         n_th = 2.0
-        dim = thermal_tail_dim(n_th)
+        dim = analytic.suggested_dim(analytic.GaussianChannelState(0, n_th))
         ratio = n_th / (1.0 + n_th)
         assert ratio**dim <= 1e-9 < ratio ** (dim - 2)
 
@@ -1013,7 +1017,7 @@ class TestTruncationHelpers:
             return
         dim = analytic.suggested_dim(state)
         if not x:
-            assert dim == thermal_tail_dim(n_th)
+            assert dim == _thermal_rule(n_th)
         else:
             bound = functools.partial(fock._poisson_tail_bound, x, n_th=n_th)
             assert bound(dim) <= 1e-9 < bound(dim - 1)
@@ -1031,7 +1035,7 @@ class TestTruncationHelpers:
         state = analytic.GaussianChannelState(alpha, n_th)
         if finite:
             dim = analytic.suggested_dim(state)
-            assert dim == thermal_tail_dim(n_th) and math.isfinite(float(dim))
+            assert dim == _thermal_rule(n_th) and math.isfinite(float(dim))
         else:
             with pytest.raises(InvalidParameterError, match="within float range"):
                 analytic.suggested_dim(state)

@@ -505,6 +505,20 @@ class TestFailureModes:
             evolve(projector(number_state(0, 20)), params, 5.0)
         assert time.perf_counter() - started < 30.0
 
+    def test_a_top_level_the_run_already_holds_suggests_no_dimension(self):
+        # the input's own 0.01 at the top level is no thermal tail: a thermal
+        # state of its mean (0.29 photons) fits in 17 of the 30 levels, which
+        # the report used to suggest
+        diag = np.zeros(30)
+        diag[0], diag[-1] = 0.99, 0.01
+        with pytest.raises(TruncationError) as info:
+            evolve(DensityMatrix(np.diag(diag)), REF, 1.0)
+        message = str(info.value)
+        assert "suggest" not in message
+        assert message.endswith(
+            "fits in dim 17: it is the input's own weight at the cutoff or stepping error"
+        )
+
     @pytest.mark.parametrize(
         "gamma, beta_rate, t, needed",
         # the moment rule suggested 113, 52 and 113 levels here, at which the
@@ -571,6 +585,29 @@ class TestFailureModes:
         [(_, rho)], evals = _counted(DensityMatrix(mat), REF, [1.0])
         assert evals > 0
         assert abs(rho.trace() - 1.0) <= lindblad._EVOLVE_TRACE_TOL
+
+
+class TestReadableSamples:
+    # evolve_trajectory checks its input at the tier up to which fock reads a
+    # state, so the t = 0 sample, rho0 itself, can be read
+
+    def test_a_negative_eigenvalue_it_accepts_has_an_entropy(self):
+        unitary = np.eye(10, dtype=complex)
+        rng = np.random.default_rng(0)
+        unitary[:3, :3] = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        weights = np.zeros(10)
+        weights[:3] = 0.6 + 5e-9, 0.4, -5e-9
+        rho0 = DensityMatrix(unitary @ np.diag(weights) @ unitary.conj().T)
+        [(_, sample)] = evolve_trajectory(rho0, REF, [0.0])
+        assert sample.spectrum[0] == pytest.approx(-5e-9, abs=1e-15)
+        exact = -(0.6 * math.log2(0.6) + 0.4 * math.log2(0.4))
+        assert von_neumann_entropy(sample) == pytest.approx(exact, rel=1e-7)
+
+    def test_an_asymmetry_it_accepts_has_a_trace_distance(self):
+        mat = np.zeros((10, 10))
+        mat[0, 0], mat[0, 1] = 1.0, 5e-11
+        [(_, sample)] = evolve_trajectory(DensityMatrix(mat), REF, [0.0])
+        assert trace_distance(sample, thermal_state(0.0, 10)) <= 5e-11
 
 
 class TestRealRoute:

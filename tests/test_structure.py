@@ -279,7 +279,7 @@ def test_the_guard_sees_the_clash():
     fock, analytic = types.ModuleType("fock"), types.ModuleType("analytic")
     fock.suggested_dim = lambda mean, variance: 18
     analytic.suggested_dim = lambda state: 18
-    fock.thermal_tail_dim = analytic.thermal_tail_dim = lambda n_th: 2
+    fock.beta_t = analytic.beta_t = lambda params, t: 0.0
     assert _clashing_names([fock, analytic]) == {"suggested_dim"}
 
 

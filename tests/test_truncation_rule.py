@@ -183,10 +183,11 @@ class TestDimensionRule:
         assert mp_tail(alpha**2, n_th, suggested) <= 0.5 * COHERENT_LOSS_TOL
         assert _reports(lambda: fock._check_truncation("state", alpha, n_th, suggested)) == []
 
-    def test_thermal_tail_dim_is_the_rule_at_the_tail_weight(self):
+    def test_suggested_dim_at_zero_displacement_is_the_thermal_rule(self):
         for n_th in (0.0, 1e-300, 0.3, 2.0, 5.0, 99.33, 1e8, 1e16, 1e200):
             expected = 2 if not n_th else max(2, math.ceil(-math.log(1e-9) / math.log1p(1 / n_th)))
-            assert fock.thermal_tail_dim(n_th) == fock._tail_dim(0.0, n_th, 1e-9) == expected
+            dim = analytic.suggested_dim(analytic.GaussianChannelState(0, n_th))
+            assert dim == fock._tail_dim(0.0, n_th, 1e-9) == expected
 
     @pytest.mark.parametrize(
         "x, n_th",
