@@ -18,7 +18,9 @@ from bmc import (
     InvalidDimensionError,
     InvalidParameterError,
     InvalidTimeError,
+    beta_t,
     capacity_point,
+    channel_capacity,
     criterion_residual,
     evolve_coherent_analytic,
     g_entropy,
@@ -42,6 +44,11 @@ REAL_SITES = {
         lambda v: GaussianChannelState(0.5, v), InvalidParameterError, False
     ),
     "g_entropy": (g_entropy, InvalidParameterError, False),
+    "beta_t.t": (lambda v: beta_t(REF, v), InvalidTimeError, False),
+    "evolve_coherent_analytic.t": (
+        lambda v: evolve_coherent_analytic(0.5, REF, v), InvalidTimeError, False
+    ),
+    "channel_capacity.t": (lambda v: channel_capacity(REF, v), InvalidTimeError, False),
     "theta_curve.n_bar": (lambda v: theta_curve(REF, 1.0, (1.0, v)), InvalidParameterError, False),
     "criterion_residual.n_bar": (
         lambda v: criterion_residual(v, REF, 1.0), InvalidParameterError, True
@@ -56,6 +63,9 @@ REAL_SITES = {
         lambda v: fock.displaced_thermal_state(0.5, v, 60).entries.tolist(),
         InvalidParameterError,
         False,
+    ),
+    "thermal_state.n_th": (
+        lambda v: thermal_state(v, 60).entries.tolist(), InvalidParameterError, False
     ),
     "suggested_dim.thermal_photons": (
         lambda v: analytic.suggested_dim(GaussianChannelState(0.5, v)),
